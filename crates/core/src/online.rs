@@ -312,28 +312,34 @@ impl OnlinePlacer {
     /// Rebuild a placer from snapshotted state: the region (carrying its
     /// fault set), the live slots, and the counters. The occupancy grid is
     /// reconstructed from the placements, so a snapshot needs to store
-    /// neither the grid nor any history.
+    /// neither the grid nor any history. A slot listed twice or placed
+    /// with an unknown design alternative is refused.
     pub fn restore(
         region: Region,
         slots: Vec<(SlotId, Module, PlacedModule)>,
         next_slot: SlotId,
         stats: OnlineStats,
-    ) -> OnlinePlacer {
+    ) -> Result<OnlinePlacer, String> {
         let mut grid = OccupancyGrid::new(region.bounds());
         let mut active = BTreeMap::new();
         for (slot, module, placed) in slots {
-            for b in module.shapes()[placed.shape].boxes() {
+            let Some(shape) = module.shapes().get(placed.shape) else {
+                return Err(format!("slot {slot} has no shape {}", placed.shape));
+            };
+            for b in shape.boxes() {
                 grid.add_rect(b.placed(placed.x, placed.y), 1);
             }
-            active.insert(slot, (module, placed));
+            if active.insert(slot, (module, placed)).is_some() {
+                return Err(format!("slot {slot} listed twice"));
+            }
         }
-        OnlinePlacer {
+        Ok(OnlinePlacer {
             region,
             grid,
             active,
             next_slot,
             stats,
-        }
+        })
     }
 
     /// Live slots whose placement overlaps a faulted tile, sorted.
@@ -374,27 +380,33 @@ impl OnlinePlacer {
         self.region.clear_fault(fault)
     }
 
-    /// Relocate every displaced module to a healthy placement, evicting
-    /// the ones that cannot be saved. Two escalation levels, both driven
-    /// by design alternatives:
+    /// Relocate or evict every displaced module:
+    /// [`OnlinePlacer::plan_repair`], then [`OnlinePlacer::apply_repair`].
+    pub fn repair(&mut self, budget: Duration, model: &FrameCostModel) -> RepairReport {
+        let report = self.plan_repair(budget, model);
+        self.apply_repair(&report)
+            .expect("a planned repair applies");
+        report
+    }
+
+    /// Plan a repair without changing anything. Two escalation levels,
+    /// both driven by design alternatives:
     ///
     /// 1. **Greedy**: lift all displaced modules off the grid and first-fit
     ///    them back (biggest first) around the survivors — cheap, moves
     ///    only broken modules.
     /// 2. **Ruin-and-recreate** (while `budget` lasts): if any module is
     ///    still homeless, repack *everything* onto an empty grid under a
-    ///    sequence of deterministic orderings, committing the first
-    ///    ordering where every module fits (the no-break rule of
+    ///    sequence of deterministic orderings, taking the first ordering
+    ///    where every module fits (the no-break rule of
     ///    [`OnlinePlacer::defrag`]: a failed repack changes nothing).
     ///
-    /// Whatever is still homeless afterwards is evicted. The report's
-    /// `moved`/`evicted` lists are the complete state delta for journal
-    /// replay via [`OnlinePlacer::apply_repair`] — the pass itself is
-    /// deadline-dependent and must not be recomputed from the log.
-    pub fn repair(&mut self, budget: Duration, model: &FrameCostModel) -> RepairReport {
+    /// Whatever is still homeless afterwards is evicted. The plan depends
+    /// on the deadline, so a journal stores the report — the complete
+    /// state delta — and replays it with [`OnlinePlacer::apply_repair`].
+    pub fn plan_repair(&self, budget: Duration, model: &FrameCostModel) -> RepairReport {
         // rrf-lint: allow(RRFL001, reason="repair is deadline-driven by design; its outcome is journaled as a state delta and replayed via apply_repair, never recomputed")
         let deadline = Instant::now() + budget;
-        self.stats.repairs += 1;
         let displaced = self.displaced_slots();
         let mut report = RepairReport {
             unaffected: (self.active.len() - displaced.len()) as u64,
@@ -403,14 +415,15 @@ impl OnlinePlacer {
         if displaced.is_empty() {
             return report;
         }
-        let before: BTreeMap<SlotId, PlacedModule> =
+        let mut grid = self.grid.clone();
+        let mut after: BTreeMap<SlotId, PlacedModule> =
             self.active.iter().map(|(s, (_, p))| (*s, *p)).collect();
 
         // Level 1: lift the broken modules, greedy-refit biggest first.
         for &slot in &displaced {
             let (module, placed) = &self.active[&slot];
             for b in module.shapes()[placed.shape].boxes() {
-                self.grid.add_rect(b.placed(placed.x, placed.y), -1);
+                grid.add_rect(b.placed(placed.x, placed.y), -1);
             }
         }
         let mut order = displaced.clone();
@@ -418,15 +431,12 @@ impl OnlinePlacer {
         let mut homeless: Vec<SlotId> = Vec::new();
         for slot in order {
             let (module, _) = &self.active[&slot];
-            match first_fit(&self.region, &self.grid, module) {
+            match first_fit(&self.region, &grid, module) {
                 Some((shape, anchor)) => {
                     for b in module.shapes()[shape].boxes() {
-                        self.grid.add_rect(b.placed(anchor.x, anchor.y), 1);
+                        grid.add_rect(b.placed(anchor.x, anchor.y), 1);
                     }
-                    let (_, placed) = self.active.get_mut(&slot).expect("live slot");
-                    placed.shape = shape;
-                    placed.x = anchor.x;
-                    placed.y = anchor.y;
+                    after.entry(slot).and_modify(|p| place_at(p, shape, anchor));
                 }
                 None => homeless.push(slot),
             }
@@ -445,7 +455,7 @@ impl OnlinePlacer {
                 |_, v| v.sort_unstable(),
             ];
             for order_fn in orderings {
-                // rrf-lint: allow(RRFL001, reason="deadline check for the journaled-delta repair pass; see the suppression at the top of repair")
+                // rrf-lint: allow(RRFL001, reason="deadline check for the journaled-delta repair pass; see the suppression at the top of plan_repair")
                 if Instant::now() >= deadline {
                     break;
                 }
@@ -454,52 +464,39 @@ impl OnlinePlacer {
                 let Some(repacked) = self.try_full_repack(&order) else {
                     continue;
                 };
-                let mut grid = OccupancyGrid::new(self.region.bounds());
-                for &(slot, shape, anchor) in &repacked {
-                    let (module, placed) = self.active.get_mut(&slot).expect("live slot");
-                    for b in module.shapes()[shape].boxes() {
-                        grid.add_rect(b.placed(anchor.x, anchor.y), 1);
-                    }
-                    placed.shape = shape;
-                    placed.x = anchor.x;
-                    placed.y = anchor.y;
+                for (slot, shape, anchor) in repacked {
+                    after.entry(slot).and_modify(|p| place_at(p, shape, anchor));
                 }
-                self.grid = grid;
                 homeless.clear();
                 break;
             }
         }
 
-        // Evict what is still homeless (their tiles are already free).
-        for &slot in &homeless {
-            self.active.remove(&slot);
-            self.stats.repaired_evicted += 1;
+        // Evict what is still homeless, then assemble the delta and the
+        // per-displaced-module outcomes from the final placements.
+        for slot in &homeless {
+            after.remove(slot);
         }
         report.evicted = homeless.clone();
-
-        // Assemble the delta and the per-displaced-module outcomes from
-        // the final placements.
-        for (&slot, (module, placed)) in &self.active {
-            if before.get(&slot) != Some(placed) {
-                report.moved.push(SlotMove {
-                    slot,
-                    placed: *placed,
-                });
-                if !displaced.contains(&slot) {
-                    continue; // healthy module shuffled by the repack
-                }
-                self.stats.repaired_relocated += 1;
-                let cost = module_cost(&self.region, std::slice::from_ref(module), placed, model);
-                report.outcomes.push(SlotRepair {
-                    slot,
-                    outcome: RepairOutcome::Relocated {
-                        shape: placed.shape,
-                        x: placed.x,
-                        y: placed.y,
-                        cost,
-                    },
-                });
+        for (slot, placed) in after {
+            let (module, before) = &self.active[&slot];
+            if *before == placed {
+                continue;
             }
+            report.moved.push(SlotMove { slot, placed });
+            if !displaced.contains(&slot) {
+                continue; // healthy module shuffled by the repack
+            }
+            let cost = module_cost(&self.region, std::slice::from_ref(module), &placed, model);
+            report.outcomes.push(SlotRepair {
+                slot,
+                outcome: RepairOutcome::Relocated {
+                    shape: placed.shape,
+                    x: placed.x,
+                    y: placed.y,
+                    cost,
+                },
+            });
         }
         for &slot in &homeless {
             report.outcomes.push(SlotRepair {
@@ -507,25 +504,31 @@ impl OnlinePlacer {
                 outcome: RepairOutcome::Evicted,
             });
         }
-        report.moved.sort_by_key(|m| m.slot);
         report.outcomes.sort_by_key(|o| o.slot);
         report
     }
 
-    /// Replay a repair's state delta without re-running the (deadline-
-    /// dependent) search: apply the report's `moved`/`evicted` lists and
-    /// bump exactly the counters [`OnlinePlacer::repair`] bumped when it
-    /// produced the report.
-    pub fn apply_repair(&mut self, report: &RepairReport) {
+    /// Commit a repair's state delta, live or replayed: apply the report's
+    /// `moved`/`evicted` lists and bump the repair counters. A report that
+    /// moves an unknown slot or to an unknown design alternative is refused
+    /// whole, with nothing changed.
+    pub fn apply_repair(&mut self, report: &RepairReport) -> Result<(), String> {
+        for m in &report.moved {
+            match self.active.get(&m.slot) {
+                Some((module, _)) if m.placed.shape < module.num_shapes() => {}
+                _ => return Err(format!("repair moves slot {} to no valid shape", m.slot)),
+            }
+        }
         self.stats.repairs += 1;
         for m in &report.moved {
-            let (module, placed) = self.active.get_mut(&m.slot).expect("replayed live slot");
-            for b in module.shapes()[placed.shape].boxes() {
-                self.grid.add_rect(b.placed(placed.x, placed.y), -1);
-            }
-            *placed = m.placed;
-            for b in module.shapes()[placed.shape].boxes() {
-                self.grid.add_rect(b.placed(placed.x, placed.y), 1);
+            if let Some((module, placed)) = self.active.get_mut(&m.slot) {
+                for b in module.shapes()[placed.shape].boxes() {
+                    self.grid.add_rect(b.placed(placed.x, placed.y), -1);
+                }
+                *placed = m.placed;
+                for b in module.shapes()[placed.shape].boxes() {
+                    self.grid.add_rect(b.placed(placed.x, placed.y), 1);
+                }
             }
         }
         for slot in &report.evicted {
@@ -537,6 +540,7 @@ impl OnlinePlacer {
         }
         self.stats.repaired_relocated += report.relocated_count() as u64;
         self.stats.repaired_evicted += report.evicted.len() as u64;
+        Ok(())
     }
 
     /// A full no-break repack of `order` onto an empty grid; `None` if any
@@ -554,6 +558,12 @@ impl OnlinePlacer {
         }
         Some(repacked)
     }
+}
+
+fn place_at(placed: &mut PlacedModule, shape: usize, anchor: Point) {
+    placed.shape = shape;
+    placed.x = anchor.x;
+    placed.y = anchor.y;
 }
 
 fn fits_on(grid: &OccupancyGrid, shape: &ShapeDef, anchor: Point) -> bool {
@@ -855,7 +865,7 @@ mod tests {
         replayed.inject_fault(Fault::Column { x: 2 });
         let report = live.repair(Duration::from_secs(5), &FrameCostModel::default());
         assert!(!report.moved.is_empty() || !report.evicted.is_empty());
-        replayed.apply_repair(&report);
+        replayed.apply_repair(&report).unwrap();
         assert_eq!(live.grid_digest(), replayed.grid_digest());
         assert_eq!(live.stats(), replayed.stats());
         let live_slots: Vec<_> = live.slots().iter().map(|(s, _, p)| (*s, **p)).collect();
@@ -880,7 +890,8 @@ mod tests {
             snapshot,
             placer.next_slot(),
             placer.stats(),
-        );
+        )
+        .unwrap();
         assert_eq!(restored.grid_digest(), placer.grid_digest());
         assert_eq!(restored.stats(), placer.stats());
         assert_eq!(restored.next_slot(), placer.next_slot());

@@ -34,6 +34,17 @@ impl Fabric {
         })
     }
 
+    /// Check what deserialization cannot: dimensions in range, and one
+    /// tile per cell.
+    pub fn validate(&self) -> Result<(), FabricError> {
+        let (width, height) = (self.width, self.height);
+        let in_range = 0 < width && width <= MAX_DIM && 0 < height && height <= MAX_DIM;
+        if !in_range || self.tiles.len() != (width * height) as usize {
+            return Err(FabricError::BadDimensions { width, height });
+        }
+        Ok(())
+    }
+
     /// A purely homogeneous CLB fabric (the reference model the paper argues
     /// is no longer realistic, kept for the heterogeneity ablation).
     pub fn homogeneous(width: i32, height: i32) -> Result<Fabric, FabricError> {

@@ -53,6 +53,15 @@ impl Region {
         })
     }
 
+    /// Check a deserialized region: a valid fabric, and bounds inside it.
+    pub fn validate(&self) -> Result<(), FabricError> {
+        self.fabric.validate()?;
+        if !self.fabric.bounds().contains_rect(&self.bounds) || self.bounds.is_empty() {
+            return Err(FabricError::RegionOutOfBounds);
+        }
+        Ok(())
+    }
+
     /// Reserve `rect` for the static design; its tiles become unavailable.
     /// The mask may extend beyond the bounds (extra area is irrelevant).
     ///

@@ -145,6 +145,20 @@ impl ShapeDef {
         &self.boxes
     }
 
+    /// Whether the shape upholds what [`ShapeDef::new`] asserts: at least
+    /// one box, every box with area, no two overlapping. Deserialized
+    /// shapes skip `new`, so code that takes them from outside checks this.
+    pub fn is_well_formed(&self) -> bool {
+        let boxes = &self.boxes;
+        !boxes.is_empty()
+            && boxes.iter().all(|b| b.w > 0 && b.h > 0)
+            && (boxes.iter().enumerate()).all(|(i, a)| {
+                boxes[i + 1..]
+                    .iter()
+                    .all(|b| !a.local().intersects(&b.local()))
+            })
+    }
+
     /// Total tile count.
     pub fn area(&self) -> i64 {
         self.boxes.iter().map(ShiftedBox::area).sum()

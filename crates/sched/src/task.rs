@@ -64,6 +64,9 @@ impl TaskSpec {
     /// a schedulable [`Task`].
     pub fn resolve(&self) -> Result<Task, String> {
         let module = resolve_module(&self.module).map_err(|e| e.to_string())?;
+        if let Some(i) = module.shapes().iter().position(|s| !s.is_well_formed()) {
+            return Err(format!("module {}: shape {i} is malformed", module.name));
+        }
         Ok(Task {
             name: self.module.name.clone(),
             module,

@@ -1,17 +1,15 @@
 //! Crash-safe session durability: an append-only NDJSON journal plus
 //! whole-state snapshots.
 //!
-//! Every state-changing session operation appends one [`JournalRecord`]
-//! line *before* its response is sent, while the session's lock is held —
-//! so the journal's per-session order is exactly the order the operations
-//! were applied in. Recovery replays the log from the top: deterministic
-//! operations (open, insert, remove, defrag, fault, clear) are re-executed
-//! through the very same `OnlinePlacer` code paths; the one
-//! *non*-deterministic operation — repair, whose outcome depends on a
-//! wall-clock deadline — is journaled by **outcome** (the
-//! [`rrf_core::RepairReport`] state delta) and replayed with
-//! [`rrf_core::OnlinePlacer::apply_repair`], so a recovered daemon lands
-//! on bit-identical placements no matter how the original search went.
+//! Every state-changing session op appends one [`JournalRecord`] line
+//! *before* its response is sent, while the session's lock is held — so
+//! the journal's per-session order is exactly the order the ops were
+//! applied in. Records come from [`crate::session::SessionOp::into_record`],
+//! and recovery ([`crate::session::replay`]) feeds each one back through
+//! the same [`crate::session::Session::apply`] the live handler ran. Repair
+//! is journaled as its state delta (a [`rrf_core::RepairReport`]), because
+//! its plan depends on a wall-clock deadline; every other op, defrag
+//! included, is journaled as its input and re-executed.
 //!
 //! A [`JournalRecord::Snapshot`] record resets the replay state wholesale;
 //! compaction rewrites the journal as a single snapshot line (temp file +

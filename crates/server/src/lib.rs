@@ -33,9 +33,9 @@
 //!   their design alternatives, escalating from greedy refit to a full
 //!   repack under a budget, and evicts what cannot be saved.
 //! * **Crash safety.** With `--journal`, every state-changing session
-//!   operation is appended to an NDJSON log before it is answered;
-//!   restart replays the log into bit-identical sessions ([`journal`]).
-//!   Defrag and graceful shutdown compact the log to one snapshot line.
+//!   operation is appended to an NDJSON log ([`journal`]) before it is
+//!   answered; restart replays it through the handlers' own [`session`]
+//!   path. Defrag and graceful shutdown compact it to one snapshot line.
 //! * **Panic isolation.** A panicking handler costs one response (an
 //!   internal error), never a worker: the pool catches unwinds and keeps
 //!   serving.
@@ -59,10 +59,12 @@ pub mod cache;
 pub mod journal;
 pub mod protocol;
 pub mod server;
+pub mod session;
 pub mod stats;
 
 pub use admission::{BreakerState, BreakerStats};
 pub use journal::{Journal, JournalRecord, SessionSnapshot, SlotSnapshot};
 pub use protocol::{PlaceMethod, Request, Response, SlotState};
-pub use server::{replay_summary, start, ReplaySummary, ServerConfig, ServerHandle};
+pub use server::{start, ServerConfig, ServerHandle};
+pub use session::{replay_summary, ReplaySummary};
 pub use stats::{DetailStats, LadderStats, ServerStats, StageStats, HISTOGRAM_BOUNDS_MS};

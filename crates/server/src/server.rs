@@ -11,7 +11,7 @@
 //! in-flight search aborts mid-branch instead of overshooting; shutdown
 //! trips every registered flag the same way.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -23,20 +23,20 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::Mutex;
 use rrf_core::{
-    baseline, cp, lns_improve_traced, metrics, verify, Floorplan, FrameCostModel, LnsConfig,
-    OnlinePlacer, PlacementProblem, SolveStats,
+    baseline, cp, lns_improve_traced, metrics, verify, FaultImpact, Floorplan, FrameCostModel,
+    LnsConfig, PlacementProblem, SolveStats,
 };
-use rrf_fabric::Region;
-use rrf_flow::{resolve_module, FlowReport, FlowSpec, ModuleEntry, PlacedModuleReport, RegionSpec};
-use rrf_sched::{AdmitOutcome, SchedConfig, Scheduler, TaskSpec};
+use rrf_flow::{resolve_module, FlowReport, FlowSpec, PlacedModuleReport, RegionSpec};
+use rrf_sched::{AdmitOutcome, CancelOutcome, Scheduler, TaskSpec};
 
 use crate::admission::{estimated_wait_ms, retry_after_ms, Breaker};
 use crate::cache::{
     cache_key, canonicalize, persist, remap_report, CacheEntry, FlightGuard, Probe, Role,
     ShardedCache, SingleFlight,
 };
-use crate::journal::{Journal, JournalRecord, SchedOp, SessionSnapshot, SlotSnapshot};
+use crate::journal::{Journal, JournalRecord, SchedOp};
 use crate::protocol::{AdoptedSession, PlaceMethod, Request, Response, SlotState};
+use crate::session::{self, Applied, Session, SessionOp};
 use crate::stats::{DetailCollector, ServerStats};
 
 /// Below this remaining budget the CP attempt is skipped entirely and the
@@ -191,160 +191,6 @@ impl Watchdog {
     }
 }
 
-/// What one scheduler op produced — the handler's view of
-/// [`Session::apply_sched_op`]. Replay only inspects the submit outcome
-/// (divergence check) and the failure marker.
-enum SchedApplied {
-    Opened,
-    Submitted(Option<u64>, AdmitOutcome),
-    Cancelled(rrf_sched::CancelOutcome),
-    Advanced,
-    Faulted,
-    Cleared,
-    /// The op could not be applied (no scheduler, unresolvable task spec)
-    /// — only reachable through a corrupt or hand-edited journal, since
-    /// the handlers validate before journaling.
-    Failed,
-}
-
-/// One stateful online session.
-struct Session {
-    placer: OnlinePlacer,
-    /// Resolved module per live slot, for reporting names.
-    names: HashMap<u64, String>,
-    /// The session's reservation scheduler (`rrf-sched`), created lazily
-    /// by the first `submit_task`.
-    sched: Option<Scheduler>,
-    /// Complete ordered scheduler-op history. The scheduler is a pure
-    /// function of this sequence, so snapshots carry it verbatim and
-    /// restore replays it — that is the whole durability story for
-    /// schedule state.
-    sched_ops: Vec<SchedOp>,
-    /// Deadline misses already folded into the detail collector, so each
-    /// handler reports only the delta.
-    sched_misses_reported: u64,
-}
-
-impl Session {
-    fn new(region: Region) -> Session {
-        Session {
-            placer: OnlinePlacer::new(region),
-            names: HashMap::new(),
-            sched: None,
-            sched_ops: Vec::new(),
-            sched_misses_reported: 0,
-        }
-    }
-
-    /// The single mutation path for schedule state: request handlers,
-    /// journal replay, and snapshot restore all come through here, so a
-    /// live scheduler and a recovered one see byte-identical op
-    /// sequences. Appends the op to the durable history exactly when it
-    /// applied.
-    fn apply_sched_op(&mut self, op: &SchedOp, tracer: &rrf_trace::Tracer) -> SchedApplied {
-        let applied = match op {
-            SchedOp::Open { region } => {
-                let config = SchedConfig {
-                    tracer: tracer.clone(),
-                    ..SchedConfig::default()
-                };
-                self.sched = Some(Scheduler::new(region.clone(), config));
-                SchedApplied::Opened
-            }
-            _ => {
-                let Some(sched) = &mut self.sched else {
-                    return SchedApplied::Failed;
-                };
-                match op {
-                    SchedOp::Submit { task } => match task.resolve() {
-                        Ok(task) => {
-                            let (id, outcome) = sched.submit(task);
-                            SchedApplied::Submitted(id, outcome)
-                        }
-                        Err(_) => return SchedApplied::Failed,
-                    },
-                    SchedOp::Cancel { task } => SchedApplied::Cancelled(sched.cancel(*task)),
-                    SchedOp::Advance { to } => {
-                        sched.advance_to(*to);
-                        SchedApplied::Advanced
-                    }
-                    SchedOp::Fault { fault } => {
-                        sched.inject_fault(*fault);
-                        SchedApplied::Faulted
-                    }
-                    SchedOp::ClearFault { fault } => {
-                        sched.clear_fault(*fault);
-                        SchedApplied::Cleared
-                    }
-                    SchedOp::Open { .. } => unreachable!("handled above"),
-                }
-            }
-        };
-        self.sched_ops.push(op.clone());
-        applied
-    }
-
-    /// The session's full durable state (see [`crate::journal`]).
-    fn snapshot(&self, session: u64) -> SessionSnapshot {
-        SessionSnapshot {
-            session,
-            region: self.placer.region().clone(),
-            next_slot: self.placer.next_slot(),
-            stats: self.placer.stats(),
-            slots: self
-                .placer
-                .slots()
-                .into_iter()
-                .map(|(slot, module, placed)| SlotSnapshot {
-                    slot,
-                    name: self.names.get(&slot).cloned().unwrap_or_default(),
-                    module: module.clone(),
-                    placed: *placed,
-                })
-                .collect(),
-            sched_ops: self.sched_ops.clone(),
-        }
-    }
-
-    fn restore(snapshot: SessionSnapshot) -> Session {
-        let SessionSnapshot {
-            region,
-            next_slot,
-            stats,
-            slots,
-            sched_ops,
-            ..
-        } = snapshot;
-        let mut names = HashMap::new();
-        let slots = slots
-            .into_iter()
-            .map(|s| {
-                names.insert(s.slot, s.name);
-                (s.slot, s.module, s.placed)
-            })
-            .collect();
-        let mut session = Session {
-            placer: OnlinePlacer::restore(region, slots, next_slot, stats),
-            names,
-            sched: None,
-            sched_ops: Vec::new(),
-            sched_misses_reported: 0,
-        };
-        let tracer = rrf_trace::Tracer::default();
-        for op in &sched_ops {
-            session.apply_sched_op(op, &tracer);
-        }
-        // Misses accumulated before this restore are history, not news:
-        // only post-restore deltas reach the detail collector.
-        session.sched_misses_reported = session
-            .sched
-            .as_ref()
-            .map(|s| s.stats().deadline_misses)
-            .unwrap_or(0);
-        session
-    }
-}
-
 /// State shared by every worker and connection thread.
 ///
 /// Sessions are individually locked (`Arc<Mutex<Session>>` behind the
@@ -469,9 +315,11 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let mut journal = None;
     if let Some(path) = &config.journal_path {
         let loaded = Journal::load(path)?;
-        let replayed = replay_records(&loaded.records);
-        sessions.extend(replayed.sessions);
+        let replayed = session::replay(&loaded.records);
         next_session = replayed.next_session;
+        for (id, session) in replayed.sessions {
+            sessions.insert(id, Arc::new(Mutex::new(session)));
+        }
         stats.recovered_sessions = sessions.len() as u64;
         stats.recovery_errors = replayed.errors + u64::from(loaded.truncated);
         journal = Some(Mutex::new(Journal::open(
@@ -888,37 +736,63 @@ fn handle(shared: &Arc<Shared>, job: &Job) -> Response {
             id,
             session,
             module,
-        } => handle_insert(shared, *id, *session, module),
+        } => with_session(shared, *id, *session, |s| {
+            // Rejections are journaled too: the placer's acceptance counters
+            // are part of the durable session state, and replaying the same
+            // deterministic insert yields the same rejection.
+            let slot = match commit(shared, *session, s, SessionOp::Insert(module.clone())) {
+                Applied::Inserted(slot) => slot,
+                Applied::Failed(message) => return Response::Error { id: *id, message },
+                _ => None,
+            };
+            {
+                let mut stats = shared.stats.lock();
+                stats.online_inserts += 1;
+                match slot {
+                    Some(_) => stats.online_accepted += 1,
+                    None => stats.online_rejected += 1,
+                }
+            }
+            let placement =
+                (slot.and_then(|slot| s.placer().placement_of(slot))).map(|p| PlacedModuleReport {
+                    name: module.name.clone(),
+                    shape: p.shape,
+                    x: p.x,
+                    y: p.y,
+                });
+            Response::Inserted {
+                id: *id,
+                session: *session,
+                slot,
+                placement,
+                utilization: s.placer().utilization(),
+            }
+        }),
         Request::Remove { id, session, slot } => with_session(shared, *id, *session, |s| {
-            let removed = s.placer.remove(*slot);
+            let removed =
+                commit(shared, *session, s, SessionOp::Remove(*slot)) == Applied::Removed(true);
             if removed {
-                s.names.remove(slot);
-                journal_append(
-                    shared,
-                    &JournalRecord::Remove {
-                        session: *session,
-                        slot: *slot,
-                    },
-                );
                 shared.stats.lock().online_removals += 1;
             }
             Response::Removed {
                 id: *id,
                 session: *session,
                 removed,
-                utilization: s.placer.utilization(),
+                utilization: s.placer().utilization(),
             }
         }),
         Request::Defrag { id, session } => {
             let response = with_session(shared, *id, *session, |s| {
-                let moved = s.placer.defrag() as u64;
-                journal_append(shared, &JournalRecord::Defrag { session: *session });
+                let moved = match commit(shared, *session, s, SessionOp::Defrag) {
+                    Applied::Defragged(moved) => moved as u64,
+                    _ => 0,
+                };
                 shared.stats.lock().online_defrags += 1;
                 Response::Defragged {
                     id: *id,
                     session: *session,
                     moved,
-                    utilization: s.placer.utilization(),
+                    utilization: s.placer().utilization(),
                 }
             });
             // A defrag is the natural compaction point: the layout was
@@ -941,50 +815,30 @@ fn handle(shared: &Arc<Shared>, job: &Job) -> Response {
             }
         }
         Request::InjectFault { id, session, fault } => with_session(shared, *id, *session, |s| {
-            let impact = s.placer.inject_fault(*fault);
-            // The session scheduler plans over the same fabric: the fault
-            // reaches it too (kills started work on the dead tiles, evicts
-            // and requeues future bookings). One journal record covers
-            // both — replay routes it into both as well.
-            if s.sched.is_some() {
-                s.apply_sched_op(&SchedOp::Fault { fault: *fault }, &shared.tracer);
-                note_sched_detail(shared, s);
-            }
-            journal_append(
-                shared,
-                &JournalRecord::Fault {
-                    session: *session,
-                    fault: *fault,
-                },
-            );
+            let impact = match commit(shared, *session, s, SessionOp::Fault(*fault)) {
+                Applied::Faulted(impact) => impact,
+                _ => FaultImpact::default(),
+            };
             shared.stats.lock().faults_injected += 1;
             Response::FaultInjected {
                 id: *id,
                 session: *session,
                 tiles: impact.tiles.len() as u64,
                 displaced: impact.displaced,
-                total_faults: s.placer.region().faults().len() as u64,
+                total_faults: s.placer().region().faults().len() as u64,
             }
         }),
         Request::ClearFault { id, session, fault } => with_session(shared, *id, *session, |s| {
-            let tiles = s.placer.clear_fault(*fault);
-            if s.sched.is_some() {
-                s.apply_sched_op(&SchedOp::ClearFault { fault: *fault }, &shared.tracer);
-                note_sched_detail(shared, s);
-            }
-            journal_append(
-                shared,
-                &JournalRecord::ClearFault {
-                    session: *session,
-                    fault: *fault,
-                },
-            );
+            let tiles = match commit(shared, *session, s, SessionOp::ClearFault(*fault)) {
+                Applied::Cleared(tiles) => tiles as u64,
+                _ => 0,
+            };
             shared.stats.lock().faults_cleared += 1;
             Response::FaultCleared {
                 id: *id,
                 session: *session,
-                tiles: tiles.len() as u64,
-                total_faults: s.placer.region().faults().len() as u64,
+                tiles,
+                total_faults: s.placer().region().faults().len() as u64,
             }
         }),
         Request::Repair {
@@ -994,19 +848,10 @@ fn handle(shared: &Arc<Shared>, job: &Job) -> Response {
         } => with_session(shared, *id, *session, |s| {
             let budget =
                 Duration::from_millis(budget_ms.unwrap_or(shared.config.default_deadline_ms));
-            let report = s.placer.repair(budget, &FrameCostModel::default());
-            for slot in &report.evicted {
-                s.names.remove(slot);
-            }
-            // Repair is deadline-dependent, so it is journaled by outcome
-            // (the report's state delta), never recomputed on replay.
-            journal_append(
-                shared,
-                &JournalRecord::Repair {
-                    session: *session,
-                    report: report.clone(),
-                },
-            );
+            // Repair depends on the deadline, so it is planned here; the
+            // plan's state delta is what gets applied, journaled and replayed.
+            let report = s.placer().plan_repair(budget, &FrameCostModel::default());
+            commit(shared, *session, s, SessionOp::Repair(report.clone()));
             {
                 let mut stats = shared.stats.lock();
                 stats.repairs += 1;
@@ -1017,44 +862,28 @@ fn handle(shared: &Arc<Shared>, job: &Job) -> Response {
                 id: *id,
                 session: *session,
                 report,
-                utilization: s.placer.utilization(),
+                utilization: s.placer().utilization(),
             }
         }),
         Request::SubmitTask { id, session, task } => {
             handle_submit_task(shared, *id, *session, task)
         }
         Request::CancelTask { id, session, task } => with_session(shared, *id, *session, |s| {
-            if s.sched.is_none() {
-                // No scheduler yet means no such task — a benign miss,
-                // not an error, and nothing to journal.
-                return Response::TaskCancelled {
-                    id: *id,
-                    session: *session,
-                    outcome: rrf_sched::CancelOutcome::Unknown.as_str().to_string(),
-                    now: 0,
-                };
-            }
-            let op = SchedOp::Cancel { task: *task };
-            let applied = s.apply_sched_op(&op, &shared.tracer);
-            journal_append(
-                shared,
-                &JournalRecord::Sched {
-                    session: *session,
-                    sched: op,
-                    admitted: None,
-                },
-            );
-            shared.stats.lock().sched_cancels += 1;
-            note_sched_detail(shared, s);
-            let outcome = match applied {
-                SchedApplied::Cancelled(outcome) => outcome.as_str().to_string(),
-                _ => rrf_sched::CancelOutcome::Unknown.as_str().to_string(),
+            // Without a scheduler there is no such task: a benign miss,
+            // not an error, and nothing is journaled.
+            let cancel = SessionOp::Sched(SchedOp::Cancel { task: *task });
+            let outcome = match commit(shared, *session, s, cancel) {
+                Applied::Cancelled(outcome) => {
+                    shared.stats.lock().sched_cancels += 1;
+                    outcome
+                }
+                _ => CancelOutcome::Unknown,
             };
             Response::TaskCancelled {
                 id: *id,
                 session: *session,
-                outcome,
-                now: s.sched.as_ref().map(|g| g.now()).unwrap_or(0),
+                outcome: outcome.as_str().to_string(),
+                now: s.sched().map_or(0, Scheduler::now),
             }
         }),
         Request::ScheduleStatus {
@@ -1062,35 +891,25 @@ fn handle(shared: &Arc<Shared>, job: &Job) -> Response {
             session,
             advance_to,
         } => with_session(shared, *id, *session, |s| {
+            // An advance changes the schedule (tasks finish, queued work
+            // commits or expires), so it is journaled; a plain status read
+            // is not.
             if let Some(to) = advance_to {
-                // An advance mutates the schedule (tasks finish, queued
-                // work commits or expires), so it is journaled; a plain
-                // status read is not.
-                if s.sched.is_some() {
-                    let op = SchedOp::Advance { to: *to };
-                    s.apply_sched_op(&op, &shared.tracer);
-                    journal_append(
-                        shared,
-                        &JournalRecord::Sched {
-                            session: *session,
-                            sched: op,
-                            admitted: None,
-                        },
-                    );
+                let advance = SessionOp::Sched(SchedOp::Advance { to: *to });
+                if commit(shared, *session, s, advance) == Applied::Scheduled {
                     shared.stats.lock().sched_advances += 1;
-                    note_sched_detail(shared, s);
                 }
             }
             schedule_response(*id, *session, s)
         }),
         Request::DumpSession { id, session } => with_session(shared, *id, *session, |s| {
-            let slots = s
-                .placer
+            let placer = s.placer();
+            let slots = placer
                 .slots()
                 .into_iter()
                 .map(|(slot, _, p)| SlotState {
                     slot,
-                    name: s.names.get(&slot).cloned().unwrap_or_default(),
+                    name: s.name(slot).to_string(),
                     shape: p.shape,
                     x: p.x,
                     y: p.y,
@@ -1099,9 +918,9 @@ fn handle(shared: &Arc<Shared>, job: &Job) -> Response {
             Response::SessionState {
                 id: *id,
                 session: *session,
-                next_slot: s.placer.next_slot(),
-                grid_digest: format!("{:016x}", s.placer.grid_digest()),
-                total_faults: s.placer.region().faults().len() as u64,
+                next_slot: placer.next_slot(),
+                grid_digest: format!("{:016x}", placer.grid_digest()),
+                total_faults: placer.region().faults().len() as u64,
                 slots,
             }
         }),
@@ -1134,6 +953,27 @@ fn handle(shared: &Arc<Shared>, job: &Job) -> Response {
         }
         Request::Ping { id } => Response::Pong { id: *id },
     }
+}
+
+/// Apply one op to a live session, under its lock, through the same
+/// [`Session::apply`] that journal replay uses; journal the record it
+/// yields, and fold scheduler deltas into `stats_detail`.
+fn commit(shared: &Shared, session: u64, s: &mut Session, op: SessionOp) -> Applied {
+    // Ops that reach an existing scheduler (its creation does not).
+    let sched_misses = match op {
+        SessionOp::Fault(_) | SessionOp::ClearFault(_) | SessionOp::Sched(_) => {
+            s.sched().map(|g| g.stats().deadline_misses)
+        }
+        _ => None,
+    };
+    let applied = s.apply(&op);
+    if let Some(record) = op.into_record(session, &applied) {
+        journal_append(shared, &record);
+    }
+    if let Some(misses) = sched_misses {
+        note_sched_detail(shared, s, misses);
+    }
+    applied
 }
 
 /// Append one record to the journal, if journaling is on. Called while
@@ -1177,197 +1017,6 @@ fn compact_journal(shared: &Shared) {
     }
 }
 
-/// Sessions rebuilt from a journal, plus replay bookkeeping. The map is
-/// ordered (BTreeMap) so replay output never depends on hash order.
-struct Replayed {
-    sessions: BTreeMap<u64, Arc<Mutex<Session>>>,
-    next_session: u64,
-    /// Records that could not be applied, or whose deterministic replay
-    /// diverged from the journaled outcome.
-    errors: u64,
-}
-
-/// Rebuild session state from journal records. Deterministic operations
-/// re-execute through the live code paths; repairs apply their journaled
-/// state delta; a snapshot record resets everything to its contents.
-fn replay_records(records: &[JournalRecord]) -> Replayed {
-    let mut sessions: BTreeMap<u64, Session> = BTreeMap::new();
-    let mut next_session = 1u64;
-    let mut errors = 0u64;
-    for record in records {
-        match record {
-            JournalRecord::Snapshot {
-                next_session: ns,
-                sessions: snaps,
-            } => {
-                sessions.clear();
-                next_session = *ns;
-                for snap in snaps {
-                    sessions.insert(snap.session, Session::restore(snap.clone()));
-                }
-            }
-            JournalRecord::Open { session, region } => {
-                next_session = next_session.max(session + 1);
-                if sessions.contains_key(session) {
-                    continue; // snapshot already covered this open
-                }
-                match region.build() {
-                    Ok(r) => {
-                        sessions.insert(*session, Session::new(r));
-                    }
-                    Err(_) => errors += 1,
-                }
-            }
-            JournalRecord::Insert {
-                session,
-                slot,
-                module,
-            } => {
-                let Some(s) = sessions.get_mut(session) else {
-                    errors += 1;
-                    continue;
-                };
-                match resolve_module(module) {
-                    Ok(m) => {
-                        let got = s.placer.try_insert(&m);
-                        if got != *slot {
-                            errors += 1;
-                        }
-                        if let Some(slot) = got {
-                            s.names.insert(slot, module.name.clone());
-                        }
-                    }
-                    Err(_) => errors += 1,
-                }
-            }
-            JournalRecord::Remove { session, slot } => match sessions.get_mut(session) {
-                Some(s) => {
-                    if s.placer.remove(*slot) {
-                        s.names.remove(slot);
-                    } else {
-                        errors += 1;
-                    }
-                }
-                None => errors += 1,
-            },
-            JournalRecord::Defrag { session } => match sessions.get_mut(session) {
-                Some(s) => {
-                    s.placer.defrag();
-                }
-                None => errors += 1,
-            },
-            JournalRecord::Fault { session, fault } => match sessions.get_mut(session) {
-                Some(s) => {
-                    s.placer.inject_fault(*fault);
-                    // Mirrors the handler: one fault record feeds both the
-                    // online placer and the session scheduler.
-                    if s.sched.is_some() {
-                        s.apply_sched_op(
-                            &SchedOp::Fault { fault: *fault },
-                            &rrf_trace::Tracer::default(),
-                        );
-                    }
-                }
-                None => errors += 1,
-            },
-            JournalRecord::ClearFault { session, fault } => match sessions.get_mut(session) {
-                Some(s) => {
-                    s.placer.clear_fault(*fault);
-                    if s.sched.is_some() {
-                        s.apply_sched_op(
-                            &SchedOp::ClearFault { fault: *fault },
-                            &rrf_trace::Tracer::default(),
-                        );
-                    }
-                }
-                None => errors += 1,
-            },
-            JournalRecord::Sched {
-                session,
-                sched,
-                admitted,
-            } => match sessions.get_mut(session) {
-                Some(s) => match s.apply_sched_op(sched, &rrf_trace::Tracer::default()) {
-                    // Deterministic replay must hand out the same task id
-                    // the live run journaled; anything else is divergence.
-                    SchedApplied::Submitted(got, _) if got != *admitted => errors += 1,
-                    SchedApplied::Failed => errors += 1,
-                    _ => {}
-                },
-                None => errors += 1,
-            },
-            JournalRecord::Repair { session, report } => match sessions.get_mut(session) {
-                Some(s) => {
-                    s.placer.apply_repair(report);
-                    for slot in &report.evicted {
-                        s.names.remove(slot);
-                    }
-                }
-                None => errors += 1,
-            },
-            JournalRecord::Close { session } => {
-                sessions.remove(session);
-            }
-        }
-    }
-    Replayed {
-        sessions: sessions
-            .into_iter()
-            .map(|(k, v)| (k, Arc::new(Mutex::new(v))))
-            .collect(),
-        next_session,
-        errors,
-    }
-}
-
-/// One session's state at digest granularity, as produced by
-/// [`replay_summary`] — enough to compare two replays for bit-identical
-/// equivalence without exposing the live session type.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ReplaySessionSummary {
-    pub session: u64,
-    pub grid_digest: u64,
-    pub next_slot: u64,
-    pub occupied_slots: u64,
-}
-
-/// Deterministic digest of replaying a record sequence, for robustness
-/// tests: two replays of the same records must produce equal summaries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplaySummary {
-    pub next_session: u64,
-    pub recovery_errors: u64,
-    /// Sorted by session id.
-    pub sessions: Vec<ReplaySessionSummary>,
-}
-
-/// Replay journal records and summarize the resulting state. This is the
-/// same replay the daemon runs at startup; tests use it to assert that
-/// recovery from arbitrary journal prefixes is deterministic and
-/// panic-free.
-pub fn replay_summary(records: &[JournalRecord]) -> ReplaySummary {
-    let replayed = replay_records(records);
-    let mut sessions: Vec<ReplaySessionSummary> = replayed
-        .sessions
-        .iter()
-        .map(|(id, session)| {
-            let session = session.lock();
-            ReplaySessionSummary {
-                session: *id,
-                grid_digest: session.placer.grid_digest(),
-                next_slot: session.placer.next_slot(),
-                occupied_slots: session.placer.slots().len() as u64,
-            }
-        })
-        .collect();
-    sessions.sort();
-    ReplaySummary {
-        next_session: replayed.next_session,
-        recovery_errors: replayed.errors,
-        sessions,
-    }
-}
-
 fn with_session(
     shared: &Arc<Shared>,
     id: u64,
@@ -1397,10 +1046,8 @@ fn handle_open_session(shared: &Arc<Shared>, id: u64, spec: &RegionSpec) -> Resp
         }
     };
     let session = shared.next_session.fetch_add(1, Ordering::Relaxed);
-    shared
-        .sessions
-        .lock()
-        .insert(session, Arc::new(Mutex::new(Session::new(region))));
+    let live = Arc::new(Mutex::new(Session::new(region, shared.tracer.clone())));
+    shared.sessions.lock().insert(session, live);
     // Journaled after the map insert: a compaction racing in between
     // snapshots the (empty) session, and replay treats an `Open` for an
     // already-live session as a no-op.
@@ -1434,7 +1081,7 @@ fn handle_adopt_journal(shared: &Arc<Shared>, id: u64, path: &str) -> Response {
     if loaded.truncated {
         errors.push("torn tail dropped".to_string());
     }
-    let replayed = replay_records(&loaded.records);
+    let replayed = session::replay(&loaded.records);
     if replayed.errors > 0 {
         errors.push(format!("{} replay divergences", replayed.errors));
     }
@@ -1445,7 +1092,7 @@ fn handle_adopt_journal(shared: &Arc<Shared>, id: u64, path: &str) -> Response {
         let mut map = shared.sessions.lock();
         for (from, session) in replayed.sessions {
             let to = shared.next_session.fetch_add(1, Ordering::Relaxed);
-            map.insert(to, session);
+            map.insert(to, Arc::new(Mutex::new(session)));
             adopted.push(AdoptedSession { from, to });
         }
     }
@@ -1466,64 +1113,11 @@ fn handle_adopt_journal(shared: &Arc<Shared>, id: u64, path: &str) -> Response {
     }
 }
 
-fn handle_insert(shared: &Arc<Shared>, id: u64, session: u64, entry: &ModuleEntry) -> Response {
-    let module = match resolve_module(entry) {
-        Ok(module) => module,
-        Err(e) => {
-            return Response::Error {
-                id,
-                message: e.to_string(),
-            }
-        }
-    };
-    with_session(shared, id, session, |s| {
-        let slot = s.placer.try_insert(&module);
-        // Rejections are journaled too: the placer's acceptance counters
-        // are part of the durable session state, and replaying the same
-        // deterministic insert yields the same rejection.
-        journal_append(
-            shared,
-            &JournalRecord::Insert {
-                session,
-                slot,
-                module: entry.clone(),
-            },
-        );
-        {
-            let mut stats = shared.stats.lock();
-            stats.online_inserts += 1;
-            match slot {
-                Some(_) => stats.online_accepted += 1,
-                None => stats.online_rejected += 1,
-            }
-        }
-        let placement = slot.and_then(|slot| {
-            s.names.insert(slot, entry.name.clone());
-            s.placer.placement_of(slot).map(|p| PlacedModuleReport {
-                name: entry.name.clone(),
-                shape: p.shape,
-                x: p.x,
-                y: p.y,
-            })
-        });
-        Response::Inserted {
-            id,
-            session,
-            slot,
-            placement,
-            utilization: s.placer.utilization(),
-        }
-    })
-}
-
-/// Fold one scheduler mutation's observable deltas into the counters
-/// behind `stats_detail`: the queue-depth gauge after the op, and any
-/// deadline misses it produced. Called with the session lock held.
-fn note_sched_detail(shared: &Shared, s: &mut Session) {
-    let Some(sched) = &s.sched else { return };
-    let misses = sched.stats().deadline_misses;
-    let delta = misses.saturating_sub(s.sched_misses_reported);
-    s.sched_misses_reported = misses;
+/// Fold one scheduler op's deltas into `stats_detail`: the queue depth
+/// after it, and the deadline misses beyond `misses_before`.
+fn note_sched_detail(shared: &Shared, s: &Session, misses_before: u64) {
+    let Some(sched) = s.sched() else { return };
+    let delta = sched.stats().deadline_misses.saturating_sub(misses_before);
     let mut detail = shared.detail.lock();
     detail.record_sched_queue_depth(sched.queue_depth() as u64);
     if delta > 0 {
@@ -1534,38 +1128,24 @@ fn note_sched_detail(shared: &Shared, s: &mut Session) {
 /// The `schedule_status` reply body. A session that never submitted a
 /// task has no scheduler; it reads as an empty schedule at tick 0.
 fn schedule_response(id: u64, session: u64, s: &Session) -> Response {
-    match &s.sched {
-        Some(sched) => Response::Schedule {
-            id,
-            session,
-            now: sched.now(),
-            queue_depth: sched.queue_depth() as u64,
-            digest: format!("{:016x}", sched.digest()),
-            reservations: sched.reservations().into_iter().cloned().collect(),
-            stats: sched.stats().clone(),
-        },
-        None => Response::Schedule {
-            id,
-            session,
-            now: 0,
-            queue_depth: 0,
-            digest: format!("{:016x}", 0u64),
-            reservations: vec![],
-            stats: rrf_sched::SchedStats::default(),
-        },
+    let sched = s.sched();
+    Response::Schedule {
+        id,
+        session,
+        now: sched.map_or(0, Scheduler::now),
+        queue_depth: sched.map_or(0, |g| g.queue_depth() as u64),
+        digest: format!("{:016x}", sched.map_or(0, Scheduler::digest)),
+        reservations: sched.map_or(vec![], |g| g.reservations().into_iter().cloned().collect()),
+        stats: sched.map(|g| g.stats().clone()).unwrap_or_default(),
     }
 }
 
 /// Admit one task into the session's scheduler, creating the scheduler on
-/// first use. The scheduler's region is frozen at creation: the session
-/// region as of that moment (faults included) with every live slot's
-/// footprint added as a static mask, so scheduled work never lands on
-/// tiles the online placer already occupies. The freeze is journaled as
-/// its own `SchedOp::Open` record, making replay independent of whatever
-/// the session's slots and faults do afterwards.
+/// first use (see [`Session::sched_open`]; its creation is journaled as its
+/// own `SchedOp::Open` record).
 fn handle_submit_task(shared: &Arc<Shared>, id: u64, session: u64, spec: &TaskSpec) -> Response {
     // Validate up front: an unresolvable module is a protocol error, not
-    // a scheduler rejection, and is never journaled.
+    // a scheduler rejection; it is never journaled and opens no scheduler.
     if let Err(e) = spec.resolve() {
         return Response::Error {
             id,
@@ -1574,56 +1154,34 @@ fn handle_submit_task(shared: &Arc<Shared>, id: u64, session: u64, spec: &TaskSp
     }
     with_session(shared, id, session, |s| {
         let span = rrf_trace::tspan!(shared.tracer, "sched.admit", "req" => id);
-        if s.sched.is_none() {
-            let mut region = s.placer.region().clone();
-            for (_, module, placed) in s.placer.slots() {
-                for b in module.shapes()[placed.shape].boxes() {
-                    region.add_static_mask(b.placed(placed.x, placed.y));
-                }
-            }
-            let open = SchedOp::Open { region };
-            s.apply_sched_op(&open, &shared.tracer);
-            journal_append(
-                shared,
-                &JournalRecord::Sched {
-                    session,
-                    sched: open,
-                    admitted: None,
-                },
-            );
+        if s.sched().is_none() {
+            let open = s.sched_open();
+            commit(shared, session, s, SessionOp::Sched(open));
         }
-        let op = SchedOp::Submit { task: spec.clone() };
-        let applied = s.apply_sched_op(&op, &shared.tracer);
-        let (task_id, outcome) = match applied {
-            SchedApplied::Submitted(task_id, outcome) => (task_id, outcome),
+        let submit = SessionOp::Sched(SchedOp::Submit { task: spec.clone() });
+        let (task, outcome) = match commit(shared, session, s, submit) {
+            Applied::Submitted(task, outcome) => (task, outcome),
             _ => (None, AdmitOutcome::RejectedUnplaceable),
         };
-        journal_append(
-            shared,
-            &JournalRecord::Sched {
-                session,
-                sched: op,
-                admitted: task_id,
-            },
-        );
         {
             let mut stats = shared.stats.lock();
             stats.sched_submits += 1;
-            match task_id {
+            match task {
                 Some(_) => stats.sched_admitted += 1,
                 None => stats.sched_rejected += 1,
             }
         }
-        note_sched_detail(shared, s);
         span.close();
-        let sched = s.sched.as_ref().expect("scheduler exists after submit");
+        let (queue_depth, now) = s
+            .sched()
+            .map_or((0, 0), |g| (g.queue_depth() as u64, g.now()));
         Response::TaskSubmitted {
             id,
             session,
-            task: task_id,
+            task,
             outcome: outcome.as_str().to_string(),
-            queue_depth: sched.queue_depth() as u64,
-            now: sched.now(),
+            queue_depth,
+            now,
         }
     })
 }

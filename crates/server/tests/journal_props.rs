@@ -15,7 +15,9 @@ use rrf_flow::{DeviceSpec, ModuleEntry, RegionSpec};
 use rrf_geost::{ShapeDef, ShiftedBox};
 use rrf_sched::TaskSpec;
 use rrf_server::journal::Journal;
-use rrf_server::{replay_summary, start, Request, Response, ServerConfig};
+use rrf_server::{
+    replay_summary, start, JournalRecord, Request, Response, ServerConfig, ServerStats,
+};
 
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
@@ -48,13 +50,16 @@ fn clb_module(name: &str, w: i32, h: i32) -> ModuleEntry {
     }
 }
 
-/// Drive an in-process journaled daemon through opens, inserts, a
-/// removal, a defrag, fault + repair, a scheduler submit, and a session
-/// close — one of every journal record type except `Snapshot` (which
-/// only the graceful-shutdown compactor writes) — and return the raw
-/// journal bytes as they sat on disk mid-flight. Built once and shared:
-/// both tests (and every proptest case) mutilate copies of the same
-/// history.
+/// Drive an in-process journaled daemon through a defrag first — its
+/// compaction leaves one `snapshot` line, holding a session with a live
+/// slot, at the head of the file — then an open, inserts, a removal,
+/// fault + repair + clear, a scheduler submit, and a session close, and
+/// return the raw journal bytes as they sat on disk mid-flight. The bytes
+/// hold one record of every kind but `defrag`, which its own compaction
+/// folds away at once (the session model test in `session.rs` and the
+/// committed fixture journal replay uncompacted defrag records). Built
+/// once and shared: every test (and every proptest case) mutilates copies
+/// of the same history.
 fn journal_bytes() -> &'static [u8] {
     static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
     BYTES.get_or_init(build_journal_bytes)
@@ -96,13 +101,25 @@ fn build_journal_bytes() -> Vec<u8> {
         other => panic!("expected session, got {other:?}"),
     };
     let s1 = open(&mut rt, 1, region.clone());
-    let s2 = open(&mut rt, 2, region);
+    assert!(matches!(
+        rt(&Request::Insert {
+            id: 2,
+            session: s1,
+            module: clb_module("pre", 2, 2),
+        }),
+        Response::Inserted { slot: Some(0), .. }
+    ));
+    assert!(matches!(
+        rt(&Request::Defrag { id: 3, session: s1 }),
+        Response::Defragged { .. }
+    ));
+    let s2 = open(&mut rt, 4, region);
 
     let mut slots = Vec::new();
     for (i, (w, h)) in [(4, 2), (2, 2), (3, 2)].into_iter().enumerate() {
         match rt(&Request::Insert {
             id: 10 + i as u64,
-            session: s1,
+            session: s2,
             module: clb_module(&format!("m{i}"), w, h),
         }) {
             Response::Inserted {
@@ -114,17 +131,10 @@ fn build_journal_bytes() -> Vec<u8> {
     assert!(matches!(
         rt(&Request::Remove {
             id: 20,
-            session: s1,
+            session: s2,
             slot: slots[1],
         }),
         Response::Removed { removed: true, .. }
-    ));
-    assert!(matches!(
-        rt(&Request::Defrag {
-            id: 21,
-            session: s1
-        }),
-        Response::Defragged { .. }
     ));
     let fault = Fault::Rect {
         x: 0,
@@ -135,7 +145,7 @@ fn build_journal_bytes() -> Vec<u8> {
     assert!(matches!(
         rt(&Request::InjectFault {
             id: 22,
-            session: s1,
+            session: s2,
             fault,
         }),
         Response::FaultInjected { .. }
@@ -143,7 +153,7 @@ fn build_journal_bytes() -> Vec<u8> {
     assert!(matches!(
         rt(&Request::Repair {
             id: 23,
-            session: s1,
+            session: s2,
             budget_ms: Some(200),
         }),
         Response::Repaired { .. }
@@ -151,7 +161,7 @@ fn build_journal_bytes() -> Vec<u8> {
     assert!(matches!(
         rt(&Request::ClearFault {
             id: 24,
-            session: s1,
+            session: s2,
             fault,
         }),
         Response::FaultCleared { .. }
@@ -159,7 +169,7 @@ fn build_journal_bytes() -> Vec<u8> {
     assert!(matches!(
         rt(&Request::SubmitTask {
             id: 25,
-            session: s2,
+            session: s1,
             task: TaskSpec {
                 module: clb_module("job", 2, 2),
                 arrival: 0,
@@ -173,7 +183,7 @@ fn build_journal_bytes() -> Vec<u8> {
     assert!(matches!(
         rt(&Request::CloseSession {
             id: 26,
-            session: s2
+            session: s1
         }),
         Response::SessionClosed { .. }
     ));
@@ -215,6 +225,29 @@ fn every_byte_truncation_recovers_a_clean_prefix() {
     let baseline = replay_summary(&full.records);
     assert_eq!(baseline.recovery_errors, 0);
     assert!(!baseline.sessions.is_empty());
+    // The sweep covers one record of every kind but `defrag`.
+    let kinds: std::collections::BTreeSet<String> = (full.records.iter())
+        .map(|r| {
+            serde_json::to_string(r)
+                .unwrap()
+                .split('"')
+                .nth(3)
+                .unwrap()
+                .to_string()
+        })
+        .collect();
+    let expected = [
+        "clear_fault",
+        "close",
+        "fault",
+        "insert",
+        "open",
+        "remove",
+        "repair",
+        "sched",
+        "snapshot",
+    ];
+    assert_eq!(kinds, expected.iter().map(|k| k.to_string()).collect());
 
     for cut in 0..=bytes.len() {
         let loaded = load_from_bytes(&scratch, &bytes[..cut]);
@@ -250,36 +283,151 @@ fn every_byte_truncation_recovers_a_clean_prefix() {
     let _ = std::fs::remove_file(&scratch);
 }
 
+/// Corrupt one byte and check that load keeps every record on the lines
+/// before it and that replay does not panic. Records past the damage may
+/// be garbage history, which replay must absorb as `recovery_errors`.
+fn check_flip(offset: usize, flip: u8) -> Result<(), TestCaseError> {
+    let bytes = journal_bytes();
+    let mut damaged = bytes.to_vec();
+    damaged[offset] ^= flip;
+
+    let scratch = std::env::temp_dir().join(format!(
+        "rrf_journal_props_flip_{}_{offset}_{flip}.journal",
+        std::process::id()
+    ));
+    let full = load_from_bytes(&scratch, bytes);
+    let damaged_loaded = load_from_bytes(&scratch, &damaged);
+    let _ = std::fs::remove_file(&scratch);
+
+    // Records on lines wholly before the damaged byte are intact.
+    let intact_lines = bytes[..offset].iter().filter(|&&b| b == b'\n').count();
+    prop_assert!(damaged_loaded.records.len() >= intact_lines.min(full.records.len()));
+    for (a, b) in damaged_loaded
+        .records
+        .iter()
+        .take(intact_lines)
+        .zip(&full.records)
+    {
+        prop_assert_eq!(a, b);
+    }
+    let _ = replay_summary(&damaged_loaded.records);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Arbitrary single-byte corruption anywhere in the journal: load
-    /// and replay must never panic. Records strictly before the damaged
-    /// line must survive verbatim; whatever parses past it may be
-    /// garbage history, which replay absorbs as `recovery_errors`.
+    /// and replay must never panic.
     #[test]
     fn byte_flips_never_panic_load_or_replay(offset_frac in 0.0f64..1.0, flip in 1u8..=255) {
-        let bytes = journal_bytes();
-        let offset = ((bytes.len() - 1) as f64 * offset_frac) as usize;
-        let mut damaged = bytes.to_vec();
-        damaged[offset] ^= flip;
+        let offset = ((journal_bytes().len() - 1) as f64 * offset_frac) as usize;
+        check_flip(offset, flip)?;
+    }
+}
 
+/// Start a daemon on `bytes` as its journal and return its stats: a
+/// journal that parses but does not fit its sessions must still boot.
+fn boot_stats(name: &str, bytes: &[u8]) -> ServerStats {
+    let path = std::env::temp_dir().join(format!(
+        "rrf_journal_props_boot_{}_{name}.journal",
+        std::process::id()
+    ));
+    std::fs::write(&path, bytes).unwrap();
+    let handle = start(ServerConfig {
+        workers: 1,
+        journal_path: Some(path.to_str().unwrap().to_string()),
+        ..ServerConfig::default()
+    })
+    .expect("daemon boots on a damaged journal");
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let stats = match roundtrip(&mut reader, &mut writer, &Request::Stats { id: 1 }) {
+        Response::Stats { stats, .. } => stats,
+        other => panic!("expected stats, got {other:?}"),
+    };
+    handle.shutdown();
+    let _ = std::fs::remove_file(&path);
+    stats
+}
+
+/// Flips that keep a record parseable but make it not fit its session —
+/// fixed cases of the byte-flip property: a repair that moves a slot that
+/// is not live (`"moved":[{"slot":0` becomes 7), an inserted module and a
+/// submitted task with a box of no area (`"w":4` and `"w":2` become 0),
+/// and a snapshot whose fabric width no longer matches its tile list (10
+/// becomes 20). Replay counts each as a recovery error instead of
+/// panicking, and the daemon boots on it.
+#[test]
+fn parseable_flips_that_do_not_fit_are_recovery_errors() {
+    let bytes = journal_bytes();
+    let cases: [(&str, &[u8], u8, u8); 4] = [
+        ("repair", b"\"moved\":[{\"slot\":", b'0', 0x07),
+        (
+            "insert",
+            b"\"m0\",\"shapes\":[{\"boxes\":[{\"dx\":0,\"dy\":0,\"w\":",
+            b'4',
+            0x04,
+        ),
+        (
+            "task",
+            b"\"job\",\"shapes\":[{\"boxes\":[{\"dx\":0,\"dy\":0,\"w\":",
+            b'2',
+            0x02,
+        ),
+        ("fabric", b"\"fabric\":{\"width\":", b'1', 0x03),
+    ];
+    for (name, key, byte, flip) in cases {
+        let at = bytes
+            .windows(key.len())
+            .position(|w| w == key)
+            .unwrap_or_else(|| panic!("{name}: the journal holds the key"))
+            + key.len();
+        assert_eq!(bytes[at], byte, "{name}");
+        check_flip(at, flip).unwrap();
+
+        let mut damaged = bytes.to_vec();
+        damaged[at] ^= flip;
         let scratch = std::env::temp_dir().join(format!(
-            "rrf_journal_props_flip_{}_{offset}.journal",
+            "rrf_journal_props_{name}_{}.journal",
             std::process::id()
         ));
-        let full = load_from_bytes(&scratch, bytes);
-        let damaged_loaded = load_from_bytes(&scratch, &damaged);
+        let records = load_from_bytes(&scratch, &damaged).records;
         let _ = std::fs::remove_file(&scratch);
-
-        // Records on lines wholly before the damaged byte are intact.
-        let intact_lines = bytes[..offset].iter().filter(|&&b| b == b'\n').count();
-        prop_assert!(damaged_loaded.records.len() >= intact_lines.min(full.records.len()));
-        for (a, b) in damaged_loaded.records.iter().take(intact_lines).zip(&full.records) {
-            prop_assert_eq!(a, b);
-        }
-        // Replay of whatever loaded must be panic-free; divergent history
-        // surfaces as counted errors, not a crash.
-        let _ = replay_summary(&damaged_loaded.records);
+        assert!(replay_summary(&records).recovery_errors >= 1, "{name}");
+        assert!(boot_stats(name, &damaged).recovery_errors >= 1, "{name}");
     }
+}
+
+/// A snapshot whose slot names a design alternative its module lacks:
+/// restore refuses the session and counts it, and the daemon boots.
+#[test]
+fn snapshot_slot_with_an_unknown_shape_is_a_recovery_error() {
+    let bytes = journal_bytes();
+    let head = bytes.iter().position(|&b| b == b'\n').unwrap();
+    let line = std::str::from_utf8(&bytes[..head]).unwrap();
+    let mut snapshot: JournalRecord = serde_json::from_str(line).unwrap();
+    let JournalRecord::Snapshot { sessions, .. } = &mut snapshot else {
+        panic!("the journal starts with a snapshot");
+    };
+    assert_eq!(sessions[0].slots[0].module.num_shapes(), 1);
+    sessions[0].slots[0].placed.shape = 3;
+    let mut damaged = serde_json::to_string(&snapshot).unwrap().into_bytes();
+    damaged.extend_from_slice(&bytes[head..]);
+
+    let scratch = std::env::temp_dir().join(format!(
+        "rrf_journal_props_snapshot_{}.journal",
+        std::process::id()
+    ));
+    let records = load_from_bytes(&scratch, &damaged).records;
+    assert_eq!(
+        records.len(),
+        load_from_bytes(&scratch, bytes).records.len()
+    );
+    let _ = std::fs::remove_file(&scratch);
+    let summary = replay_summary(&records);
+    assert!(summary.recovery_errors >= 1);
+    assert!(summary.sessions.iter().all(|s| s.session != 1));
+    assert!(boot_stats("snapshot", &damaged).recovery_errors >= 1);
 }
