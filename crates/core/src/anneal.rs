@@ -114,7 +114,7 @@ fn anneal_inner(
             x: anchor.x,
             y: anchor.y,
         };
-        let free = fits(&grid, modules, &candidate);
+        let free = grid.fits(&modules[mi].shapes()[si], anchor);
         if free {
             current[mi] = candidate;
             let new_extent = extent_of(&current, modules, region.bounds().x);
@@ -149,20 +149,6 @@ fn stamp(grid: &mut OccupancyGrid, modules: &[Module], p: &PlacedModule, delta: 
     for b in modules[p.module].shapes()[p.shape].boxes() {
         grid.add_rect(b.placed(p.x, p.y), delta);
     }
-}
-
-fn fits(grid: &OccupancyGrid, modules: &[Module], p: &PlacedModule) -> bool {
-    for b in modules[p.module].shapes()[p.shape].boxes() {
-        let r = b.placed(p.x, p.y);
-        for y in r.y..r.y_end() {
-            for x in r.x..r.x_end() {
-                if grid.get(x, y) > 0 {
-                    return false;
-                }
-            }
-        }
-    }
-    true
 }
 
 fn extent_of(placements: &[PlacedModule], modules: &[Module], left: i32) -> i32 {

@@ -36,7 +36,7 @@ pub fn bottom_left(problem: &PlacementProblem) -> Option<Floorplan> {
                         continue;
                     }
                 }
-                if fits(&grid, shape, anchor) {
+                if grid.fits(shape, anchor) {
                     best = Some((key.0, key.1, key.2, si, anchor));
                 }
             }
@@ -55,20 +55,6 @@ pub fn bottom_left(problem: &PlacementProblem) -> Option<Floorplan> {
     Some(Floorplan::new(
         placements.into_iter().map(Option::unwrap).collect(),
     ))
-}
-
-fn fits(grid: &OccupancyGrid, shape: &rrf_geost::ShapeDef, anchor: Point) -> bool {
-    for b in shape.boxes() {
-        let r = b.placed(anchor.x, anchor.y);
-        for y in r.y..r.y_end() {
-            for x in r.x..r.x_end() {
-                if grid.get(x, y) > 0 {
-                    return false;
-                }
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]

@@ -150,9 +150,8 @@ pub(crate) fn build_model(problem: &PlacementProblem, config: &PlacerConfig) -> 
     let mut cumulative_tiles = 0i64;
     let mut lb = b.x_end();
     for col in b.x..b.x_end() {
-        cumulative_tiles += (b.y..b.y_end())
-            .filter(|&row| region.kind_at(col, row).is_placeable())
-            .count() as i64;
+        cumulative_tiles +=
+            region.placeable_count_in(rrf_fabric::Rect::new(col, b.y, 1, b.h)) as i64;
         if cumulative_tiles >= demand {
             lb = col + 1;
             break;

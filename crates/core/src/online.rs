@@ -13,7 +13,7 @@ use crate::model::Module;
 use crate::placement::PlacedModule;
 use crate::reconfig::{module_cost, FrameCostModel, ReconfigCost};
 use rrf_fabric::{Fault, Point, Region};
-use rrf_geost::{allowed_anchors, OccupancyGrid, ShapeDef};
+use rrf_geost::{allowed_anchors, OccupancyGrid};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -566,13 +566,6 @@ fn place_at(placed: &mut PlacedModule, shape: usize, anchor: Point) {
     placed.y = anchor.y;
 }
 
-fn fits_on(grid: &OccupancyGrid, shape: &ShapeDef, anchor: Point) -> bool {
-    shape.boxes().iter().all(|b| {
-        let r = b.placed(anchor.x, anchor.y);
-        (r.y..r.y_end()).all(|y| (r.x..r.x_end()).all(|x| grid.get(x, y) == 0))
-    })
-}
-
 /// First fit of `module` on `grid` in (x, y, shape) order over compatible
 /// anchors: the smallest (x, y) across all design alternatives wins.
 fn first_fit(region: &Region, grid: &OccupancyGrid, module: &Module) -> Option<(usize, Point)> {
@@ -584,7 +577,7 @@ fn first_fit(region: &Region, grid: &OccupancyGrid, module: &Module) -> Option<(
                     continue;
                 }
             }
-            if fits_on(grid, shape, anchor) {
+            if grid.fits(shape, anchor) {
                 best = Some((anchor.x, anchor.y, si, anchor));
             }
         }
@@ -596,7 +589,7 @@ fn first_fit(region: &Region, grid: &OccupancyGrid, module: &Module) -> Option<(
 mod tests {
     use super::*;
     use rrf_fabric::{device, ResourceKind};
-    use rrf_geost::ShiftedBox;
+    use rrf_geost::{ShapeDef, ShiftedBox};
 
     fn clb_module(name: &str, w: i32, h: i32) -> Module {
         Module::new(

@@ -20,6 +20,8 @@
 //! * [`Fault`] / [`FaultSet`] — defective tiles and columns, composed into
 //!   a region as resource-typed forbidden tiles (the paper's own extension
 //!   mechanism reused for fault tolerance);
+//! * [`ColumnMask`] — one bit per tile in column-major words, the layout
+//!   of the fit kernels;
 //! * [`Rect`] / [`Point`] — shared integer geometry.
 //!
 //! ```
@@ -38,6 +40,7 @@ pub mod error;
 pub mod fault;
 pub mod geometry;
 pub mod grid;
+pub mod mask;
 pub mod region;
 pub mod resource;
 pub mod stats;
@@ -46,6 +49,7 @@ pub use error::FabricError;
 pub use fault::{Fault, FaultSet, FaultedTile};
 pub use geometry::{Point, Rect};
 pub use grid::Fabric;
+pub use mask::ColumnMask;
 pub use region::Region;
 pub use resource::ResourceKind;
 pub use stats::ResourceCensus;

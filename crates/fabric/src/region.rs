@@ -6,8 +6,10 @@
 //! whose resource type is *not available*. [`Region`] is that view: a fabric
 //! plus a reconfigurable bounding box plus static-region masks.
 
-use crate::{Fabric, FabricError, Fault, FaultSet, Point, Rect, ResourceKind};
+use crate::{ColumnMask, Fabric, FabricError, Fault, FaultSet, Point, Rect, ResourceKind};
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A reconfigurable region carved out of a [`Fabric`].
 ///
@@ -17,7 +19,10 @@ use serde::{Deserialize, Serialize};
 /// the fault set — so downstream code has a single uniform "what can live
 /// here" query, and a faulted tile is excluded from placement exactly the
 /// way a static tile is (see [`crate::fault`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The same answer is also kept as one bit per tile per placeable kind
+/// ([`Region::accept_mask`]) for the fit kernels that test whole boxes.
+#[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct Region {
     fabric: Fabric,
     bounds: Rect,
@@ -26,6 +31,32 @@ pub struct Region {
     /// regions loadable.
     #[serde(default)]
     faults: FaultSet,
+    /// Derived from the fields above: equality and serde ignore it, and
+    /// every mutator resets it.
+    #[serde(skip)]
+    masks: AcceptMasks,
+}
+
+/// The per-kind accept masks of a region, built on first use and shared
+/// between clones (one bit per tile of the bounds per placeable kind).
+#[derive(Clone, Default)]
+struct AcceptMasks(OnceLock<Arc<[ColumnMask; 3]>>);
+
+impl PartialEq for AcceptMasks {
+    fn eq(&self, _: &AcceptMasks) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for Region {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Region")
+            .field("fabric", &self.fabric)
+            .field("bounds", &self.bounds)
+            .field("static_masks", &self.static_masks)
+            .field("faults", &self.faults)
+            .finish()
+    }
 }
 
 impl Region {
@@ -37,6 +68,7 @@ impl Region {
             bounds,
             static_masks: Vec::new(),
             faults: FaultSet::new(),
+            masks: AcceptMasks::default(),
         }
     }
 
@@ -50,6 +82,7 @@ impl Region {
             bounds,
             static_masks: Vec::new(),
             faults: FaultSet::new(),
+            masks: AcceptMasks::default(),
         })
     }
 
@@ -71,6 +104,7 @@ impl Region {
     pub fn add_static_mask(&mut self, rect: Rect) {
         if !rect.is_empty() {
             self.static_masks.push(rect);
+            self.masks = AcceptMasks::default();
         }
     }
 
@@ -156,6 +190,9 @@ impl Region {
                 lost.push(p);
             }
         }
+        if !lost.is_empty() {
+            self.masks = AcceptMasks::default();
+        }
         lost
     }
 
@@ -171,6 +208,9 @@ impl Region {
         for p in &cleared {
             self.faults.clear(p.x, p.y);
         }
+        if !cleared.is_empty() {
+            self.masks = AcceptMasks::default();
+        }
         cleared
     }
 
@@ -182,6 +222,26 @@ impl Region {
         kind.is_placeable() && self.kind_at(x, y) == kind
     }
 
+    /// [`Region::accepts`] for every tile of the bounds at once: one bit
+    /// per tile whose effective kind is `kind`, or `None` for a kind no
+    /// module may occupy. Built from [`Region::kind_at`] on first use and
+    /// shared by every clone taken afterwards.
+    pub fn accept_mask(&self, kind: ResourceKind) -> Option<&ColumnMask> {
+        if !kind.is_placeable() {
+            return None;
+        }
+        let masks = self.masks.0.get_or_init(|| {
+            let mut masks: [ColumnMask; 3] = std::array::from_fn(|_| ColumnMask::new(self.bounds));
+            for (p, k) in self.iter() {
+                if k.is_placeable() {
+                    masks[k.index()].set(p.x, p.y, true);
+                }
+            }
+            Arc::new(masks)
+        });
+        Some(&masks[kind.index()])
+    }
+
     /// Iterate `(point, effective kind)` over the bounding box.
     pub fn iter(&self) -> impl Iterator<Item = (Point, ResourceKind)> + '_ {
         self.bounds
@@ -191,25 +251,26 @@ impl Region {
 
     /// Count tiles of an effective kind within the bounds.
     pub fn count(&self, kind: ResourceKind) -> usize {
-        self.iter().filter(|&(_, k)| k == kind).count()
+        match self.accept_mask(kind) {
+            Some(mask) => mask.count_in(self.bounds),
+            None => self.iter().filter(|&(_, k)| k == kind).count(),
+        }
     }
 
     /// Count module-occupiable tiles within the bounds.
     pub fn placeable_count(&self) -> usize {
-        self.iter().filter(|&(_, k)| k.is_placeable()).count()
+        self.placeable_count_in(self.bounds)
     }
 
     /// Count module-occupiable tiles within `window ∩ bounds`. Used by the
     /// utilization metric, which divides occupied tiles by the placeable
     /// tiles of the consumed window.
     pub fn placeable_count_in(&self, window: Rect) -> usize {
-        match window.intersection(&self.bounds) {
-            Some(w) => w
-                .tiles()
-                .filter(|p| self.kind_at(p.x, p.y).is_placeable())
-                .count(),
-            None => 0,
-        }
+        ResourceKind::PLACEABLE
+            .iter()
+            .filter_map(|&k| self.accept_mask(k))
+            .map(|mask| mask.count_in(window))
+            .sum()
     }
 
     /// The region mirrored across the x=y diagonal (fabric, bounds and
@@ -220,6 +281,7 @@ impl Region {
             bounds: self.bounds.transposed(),
             static_masks: self.static_masks.iter().map(Rect::transposed).collect(),
             faults: self.faults.transposed(),
+            masks: AcceptMasks::default(),
         }
     }
 
@@ -422,6 +484,46 @@ mod tests {
         // Out of bounds: no-op, too.
         assert!(r.inject_fault(Fault::Tile { x: 99, y: 0 }).is_empty());
         assert!(r.faults().is_empty());
+    }
+
+    fn assert_masks_match_accepts(r: &Region) {
+        for kind in ResourceKind::ALL {
+            let Some(mask) = r.accept_mask(kind) else {
+                assert!(!kind.is_placeable());
+                continue;
+            };
+            for p in r.bounds().tiles() {
+                assert_eq!(
+                    mask.get(p.x, p.y),
+                    r.accepts(p.x, p.y, kind),
+                    "{kind:?} {p}"
+                );
+            }
+            assert_eq!(mask.count_in(r.bounds()), r.count(kind));
+        }
+    }
+
+    #[test]
+    fn accept_masks_follow_every_mutator() {
+        let mut r =
+            Region::with_bounds(device::virtex_like(24, 8), Rect::new(2, 1, 20, 6)).unwrap();
+        let pristine = r.clone();
+        assert_masks_match_accepts(&r);
+        // Built masks are not part of the region's identity.
+        assert_eq!(r, pristine);
+        let shared = r.clone();
+        r.add_static_mask(Rect::new(4, 1, 3, 3));
+        assert_masks_match_accepts(&r);
+        r.inject_fault(Fault::Column { x: 10 });
+        assert_masks_match_accepts(&r);
+        r.clear_fault(Fault::Column { x: 10 });
+        assert_masks_match_accepts(&r);
+        // The clone taken before the mutations kept its own view.
+        assert_masks_match_accepts(&shared);
+        assert_masks_match_accepts(&r.transposed());
+        let back: Region = serde_json::from_str(&serde_json::to_string(&r).unwrap()).unwrap();
+        assert_eq!(back, r);
+        assert_masks_match_accepts(&back);
     }
 
     #[test]

@@ -84,6 +84,18 @@ pub fn run(spec: &FlowSpec) -> Result<FlowReport, FlowError> {
         .iter()
         .map(resolve_module)
         .collect::<Result<_, _>>()?;
+    // `resolve_module` stays permissive so the analyzer can report such
+    // shapes (RRF001); the placer's kernels assume well-formed boxes.
+    for m in &modules {
+        if let Some(i) = m.shapes().iter().position(|s| !s.is_well_formed()) {
+            return Err(FlowError::Module {
+                name: m.name.clone(),
+                message: format!(
+                    "shape {i} is malformed: every box needs a positive size and no two may overlap"
+                ),
+            });
+        }
+    }
     let problem = PlacementProblem::new(region, modules);
     let config = spec.placer.to_config();
     let outcome = cp::place(&problem, &config);
@@ -243,6 +255,30 @@ mod tests {
             }),
         }];
         assert!(matches!(run(&spec), Err(FlowError::Module { .. })));
+    }
+
+    #[test]
+    fn malformed_shape_is_error() {
+        // A 0x2 box can only arrive through deserialization; placed, it
+        // would cover no tile and sit on top of the other module.
+        let mut spec = simple_spec();
+        spec.modules.push(ModuleEntry {
+            name: "flat".into(),
+            shapes: vec![serde_json::from_str(
+                r#"{"boxes":[{"dx":0,"dy":0,"w":0,"h":2,"resource":"Clb"}]}"#,
+            )
+            .unwrap()],
+            netlist: None,
+        });
+        let module = resolve_module(&spec.modules[2]).expect("resolution stays permissive");
+        assert!(!module.shapes()[0].is_well_formed());
+        match run(&spec) {
+            Err(FlowError::Module { name, message }) => {
+                assert_eq!(name, "flat");
+                assert!(message.contains("shape 0 is malformed"), "{message}");
+            }
+            other => panic!("expected a module error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -10,48 +10,24 @@
 //! object, posted to the solver as a table constraint — generalized arc
 //! consistency over exactly the paper's two constraint families.
 
+use crate::fit;
 use crate::shape::ShapeDef;
 use rrf_fabric::{Point, Region, ResourceKind};
 use rrf_solver::{Model, VarId};
 use std::collections::BTreeSet;
 
 /// All anchor positions where every tile of `shape` lies inside the
-/// region's bounds and on a fabric tile of its own resource kind.
+/// region's bounds and on a fabric tile of its own resource kind, in
+/// row-major order (y outer, x inner).
 ///
 /// The scan is restricted to anchors that keep the shape's bounding box
 /// inside the region's bounding box — anything else violates eq. 2 anyway.
 pub fn allowed_anchors(region: &Region, shape: &ShapeDef) -> Vec<Point> {
-    debug_assert!(
-        shape.boxes().iter().all(|b| b.w > 0 && b.h > 0),
-        "degenerate box reached anchor enumeration"
-    );
-    let bounds = region.bounds();
-    let bb = shape.bounding_box();
     let mut anchors = Vec::new();
-    // Anchor range such that bb (at offset bb.x..) stays inside bounds.
-    let x_lo = bounds.x - bb.x;
-    let x_hi = bounds.x_end() - bb.x_end(); // inclusive
-    let y_lo = bounds.y - bb.y;
-    let y_hi = bounds.y_end() - bb.y_end();
-    for y in y_lo..=y_hi {
-        'anchor: for x in x_lo..=x_hi {
-            for b in shape.boxes() {
-                let r = b.placed(x, y);
-                for ty in r.y..r.y_end() {
-                    for tx in r.x..r.x_end() {
-                        if !region.accepts(tx, ty, b.resource) {
-                            continue 'anchor;
-                        }
-                    }
-                }
-            }
-            debug_assert!(
-                bounds.contains_rect(&rrf_fabric::Rect::new(x + bb.x, y + bb.y, bb.w, bb.h)),
-                "anchor admits a bounding box escaping the region"
-            );
-            anchors.push(Point::new(x, y));
-        }
-    }
+    scan_anchors(region, shape, |p| {
+        anchors.push(p);
+        true
+    });
     anchors
 }
 
@@ -60,28 +36,22 @@ pub fn allowed_anchors(region: &Region, shape: &ShapeDef) -> Vec<Point> {
 /// cheap "is this alternative dead?" query used by pre-solve analysis
 /// and the server's submit-time preflight.
 pub fn first_anchor(region: &Region, shape: &ShapeDef) -> Option<Point> {
-    let bounds = region.bounds();
-    let bb = shape.bounding_box();
-    let x_lo = bounds.x - bb.x;
-    let x_hi = bounds.x_end() - bb.x_end();
-    let y_lo = bounds.y - bb.y;
-    let y_hi = bounds.y_end() - bb.y_end();
-    for y in y_lo..=y_hi {
-        'anchor: for x in x_lo..=x_hi {
-            for b in shape.boxes() {
-                let r = b.placed(x, y);
-                for ty in r.y..r.y_end() {
-                    for tx in r.x..r.x_end() {
-                        if !region.accepts(tx, ty, b.resource) {
-                            continue 'anchor;
-                        }
-                    }
-                }
-            }
-            return Some(Point::new(x, y));
-        }
-    }
-    None
+    let mut first = None;
+    scan_anchors(region, shape, |p| {
+        first = Some(p);
+        false
+    });
+    first
+}
+
+/// The one anchor scan behind [`allowed_anchors`] and [`first_anchor`]:
+/// the mask kernel ([`fit`]), stopping when `visit` returns `false`.
+fn scan_anchors(region: &Region, shape: &ShapeDef, visit: impl FnMut(Point) -> bool) {
+    debug_assert!(
+        shape.boxes().iter().all(|b| b.w > 0 && b.h > 0),
+        "degenerate box reached anchor enumeration"
+    );
+    fit::scan_accepted(region, shape, visit);
 }
 
 /// What pre-solve analysis concluded about one design alternative of a

@@ -1,14 +1,20 @@
-//! A small counting occupancy grid used by the non-overlap sweep.
+//! A counting occupancy grid: the live layout of the greedy, annealing
+//! and online placers.
 
-use rrf_fabric::Rect;
+use crate::fit;
+use crate::shape::ShapeDef;
+use rrf_fabric::{ColumnMask, Point, Rect};
 
-/// Per-tile occupation counts over a fixed extent. Counts (rather than
-/// bits) let the sweep subtract one object's own mandatory contribution
-/// when testing its candidate placements against "everyone else".
+/// Per-tile occupation counts over a fixed extent, plus the occupied tiles
+/// as a [`ColumnMask`] for [`OccupancyGrid::fits`]. Counts (rather than
+/// bits) let a placer lift a module off and put it back, and they are what
+/// [`OccupancyGrid::digest`] fingerprints.
 #[derive(Debug, Clone)]
 pub struct OccupancyGrid {
     bounds: Rect,
     counts: Vec<u16>,
+    /// Tiles with a non-zero count; kept in step by `add_rect`.
+    occupied: ColumnMask,
 }
 
 impl OccupancyGrid {
@@ -18,6 +24,7 @@ impl OccupancyGrid {
         OccupancyGrid {
             bounds,
             counts: vec![0; (bounds.w as usize) * (bounds.h as usize)],
+            occupied: ColumnMask::new(bounds),
         }
     }
 
@@ -56,8 +63,17 @@ impl OccupancyGrid {
                 self.counts[i] = (self.counts[i] as i32 + delta as i32)
                     .try_into()
                     .expect("occupancy count under/overflow");
+                self.occupied.set(x, y, self.counts[i] > 0);
             }
         }
+    }
+
+    /// Whether `shape` at `anchor` touches no occupied tile; tiles outside
+    /// the grid count as free. Containment and resource kinds are the
+    /// anchor scan's job ([`crate::allowed_anchors`]).
+    #[inline]
+    pub fn fits(&self, shape: &ShapeDef, anchor: Point) -> bool {
+        fit::collision(&self.occupied, shape, anchor).is_none()
     }
 
     /// Largest count anywhere.
@@ -68,6 +84,7 @@ impl OccupancyGrid {
     /// Reset all counts to zero, keeping the allocation.
     pub fn clear(&mut self) {
         self.counts.iter_mut().for_each(|c| *c = 0);
+        self.occupied.clear();
     }
 
     /// FNV-1a digest over the bounds and every per-tile count — a cheap

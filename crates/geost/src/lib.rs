@@ -13,6 +13,10 @@
 //!    resources (the fabric's non-matching tiles act as resource-typed
 //!    forbidden regions for that box).
 //!
+//! Both extensions and the non-overlap core test shapes through one
+//! column-mask kernel ([`fit`]): a box against a mask of one bit per tile,
+//! one word operation per column.
+//!
 //! [`nonoverlap::NonOverlap`] is the geometric core: a propagator over
 //! polymorphic objects (shape variable + anchor variables) that prunes
 //! anchor bounds against the *mandatory parts* of all other objects and
@@ -21,6 +25,7 @@
 #![forbid(unsafe_code)]
 
 pub mod compat;
+pub mod fit;
 pub mod grid;
 pub mod nonoverlap;
 pub mod object;

@@ -15,10 +15,18 @@
 //! The propagator is sound at every node and **complete at leaves**: once
 //! all objects are fixed, mandatory parts equal the true covers, so any
 //! residual overlap is detected.
+//!
+//! Mandatory parts are rectangles marked in one [`ColumnMask`] of the
+//! bounds, which catches collisions in step 2. An object none of whose
+//! open placements can reach another object's mandatory tile skips steps
+//! 3–4: no value it holds can lose its support. For the others, a
+//! placement test is one word operation per box column, and a failed test
+//! reports the tile it hit, so a scan jumps past every anchor that tile
+//! blocks instead of testing them one by one.
 
-use crate::grid::OccupancyGrid;
+use crate::fit;
 use crate::object::GeostObject;
-use rrf_fabric::Rect;
+use rrf_fabric::{ColumnMask, Point, Rect};
 use rrf_solver::{Conflict, Propagator, Space, VarId};
 
 /// Non-overlap of a set of geost objects within `bounds`.
@@ -31,118 +39,105 @@ pub struct NonOverlap {
     bounds: Rect,
 }
 
-/// One object's mandatory part, as disjoint rectangles.
-#[derive(Debug, Clone, Default)]
-struct Mandatory {
-    rects: Vec<Rect>,
-}
-
-impl Mandatory {
-    #[inline]
-    fn covers(&self, x: i32, y: i32) -> bool {
-        let p = rrf_fabric::Point::new(x, y);
-        self.rects.iter().any(|r| r.contains(p))
-    }
-}
-
 impl NonOverlap {
     pub fn new(objects: Vec<GeostObject>, bounds: Rect) -> NonOverlap {
         assert!(!bounds.is_empty(), "non-overlap with empty bounds");
         NonOverlap { objects, bounds }
     }
 
-    /// Mandatory part of object `i`: per-box compulsory rectangles if a
-    /// single shape is alive; with several alive shapes, the per-tile
-    /// intersection of the shapes' compulsory regions (computed through a
-    /// scratch grid and re-encoded as horizontal runs).
-    fn mandatory(&self, space: &Space, i: usize, scratch: &mut OccupancyGrid) -> Mandatory {
-        let per_shape = self.objects[i].mandatory_rects_per_shape(space);
-        match per_shape.len() {
-            0 => Mandatory::default(), // no alive shape: the shape-var conflict surfaces elsewhere
-            1 => Mandatory {
-                rects: per_shape.into_iter().next().unwrap(),
-            },
-            n => {
-                if per_shape.iter().any(|rects| rects.is_empty()) {
-                    // Some alive shape has no compulsory tile at all, so no
-                    // tile is compulsory under every shape.
-                    return Mandatory::default();
-                }
-                scratch.clear();
-                for rects in &per_shape {
-                    for &r in rects {
-                        scratch.add_rect(r, 1);
-                    }
-                }
-                // Tiles hit by every alive shape; re-encode as runs.
-                let mut rects = Vec::new();
-                let b = scratch.bounds();
-                for y in b.y..b.y_end() {
-                    let mut run_start: Option<i32> = None;
-                    for x in b.x..=b.x_end() {
-                        let full = x < b.x_end() && scratch.get(x, y) as usize == n;
-                        match (full, run_start) {
-                            (true, None) => run_start = Some(x),
-                            (false, Some(s)) => {
-                                rects.push(Rect::new(s, y, x - s, 1));
-                                run_start = None;
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                Mandatory { rects }
-            }
-        }
+    /// Append the mandatory part of object `i`, clipped to the bounds, to
+    /// `out` as rectangles: the per-box compulsory rectangles if a single
+    /// shape is alive; with several alive shapes, the tiles compulsory
+    /// under every one of them (intersected as masks, re-encoded as
+    /// column runs).
+    fn mandatory(&self, space: &Space, i: usize, out: &mut Vec<Rect>) {
+        let obj = &self.objects[i];
+        let mut alive = obj.alive_shapes(space);
+        let (Some(s), None) = (alive.next(), alive.next()) else {
+            return self.common_mandatory(space, i, out);
+        };
+        out.extend(
+            obj.mandatory_rects(space, s)
+                .filter_map(|r| r.intersection(&self.bounds)),
+        );
     }
 
-    /// Whether object `i` placed as `(shape s, x, y)` avoids every *other*
-    /// object's mandatory tiles.
-    fn placement_free(
+    /// [`NonOverlap::mandatory`] with no or several alive shapes.
+    fn common_mandatory(&self, space: &Space, i: usize, out: &mut Vec<Rect>) {
+        let per_shape = self.objects[i].mandatory_rects_per_shape(space);
+        if per_shape.is_empty() || per_shape.iter().any(|rects| rects.is_empty()) {
+            // No alive shape (the sweep fails the object), or one with no
+            // compulsory tile at all, so no tile is compulsory under every
+            // shape.
+            return;
+        }
+        // Every common tile lies in the first shape's part.
+        let Some(span) = (per_shape[0].iter())
+            .filter_map(|r| r.intersection(&self.bounds))
+            .reduce(|a, b| a.union_bbox(&b))
+        else {
+            return;
+        };
+        let frame = Rect::new(span.x, self.bounds.y, span.w, self.bounds.h);
+        let mask_of = |rects: &[Rect]| {
+            let mut mask = ColumnMask::new(frame);
+            rects.iter().for_each(|&r| mask.fill_rect(r));
+            mask
+        };
+        let mut common = mask_of(&per_shape[0]);
+        for rects in &per_shape[1..] {
+            common.intersect_with(&mask_of(rects));
+        }
+        out.extend(common.runs());
+    }
+
+    /// Whether some value of the partner coordinate gives object `i` a
+    /// free placement under shape `s` with the other coordinate at `v`
+    /// (`axis_is_x`: `v` is x). Partner values are tried in ascending
+    /// order; a collision skips every value whose placement still covers
+    /// the tile hit.
+    fn partner_free(
         &self,
+        space: &Space,
         i: usize,
         s: usize,
-        x: i32,
-        y: i32,
-        total: &OccupancyGrid,
-        own: &Mandatory,
+        axis_is_x: bool,
+        v: i32,
+        others: &ColumnMask,
     ) -> bool {
-        for b in self.objects[i].shapes[s].boxes() {
-            let r = b.placed(x, y);
-            for ty in r.y..r.y_end() {
-                for tx in r.x..r.x_end() {
-                    if total.get(tx, ty) > 0 && !own.covers(tx, ty) {
-                        return false;
-                    }
-                }
-            }
+        let obj = &self.objects[i];
+        let shape = &obj.shapes[s];
+        let dom = space.domain(if axis_is_x { obj.y } else { obj.x });
+        let mut w = Some(dom.min());
+        while let Some(cur) = w {
+            let (x, y) = if axis_is_x { (v, cur) } else { (cur, v) };
+            let Some((b, hit)) = fit::collision(others, shape, Point::new(x, y)) else {
+                return true;
+            };
+            w = dom.next_at_least(if axis_is_x {
+                hit.y - b.dy + 1
+            } else {
+                hit.x - b.dx + 1
+            });
         }
-        true
+        false
     }
 
     /// Whether *any* alive shape and partner coordinates make `fixed_axis`
     /// value `v` feasible for object `i`. `axis_is_x` selects which anchor
-    /// coordinate `v` binds.
+    /// coordinate `v` binds. The shape found free is marked in `witnessed`.
     fn value_feasible(
         &self,
         space: &Space,
         i: usize,
         axis_is_x: bool,
         v: i32,
-        total: &OccupancyGrid,
-        own: &Mandatory,
+        others: &ColumnMask,
+        witnessed: &mut [bool],
     ) -> bool {
-        let obj = &self.objects[i];
-        let partner = if axis_is_x { obj.y } else { obj.x };
-        for s in obj.alive_shapes(space) {
-            for w in space.domain(partner).iter() {
-                let (x, y) = if axis_is_x { (v, w) } else { (w, v) };
-                if self.placement_free(i, s, x, y, total, own) {
-                    return true;
-                }
-            }
-        }
-        false
+        let found = (self.objects[i].alive_shapes(space))
+            .find(|&s| self.partner_free(space, i, s, axis_is_x, v, others));
+        found.inspect(|&s| witnessed[s] = true).is_some()
     }
 
     /// Prune the min and max of one anchor axis of object `i` to the first
@@ -152,43 +147,40 @@ impl NonOverlap {
         space: &mut Space,
         i: usize,
         axis_is_x: bool,
-        total: &OccupancyGrid,
-        own: &Mandatory,
+        others: &ColumnMask,
+        witnessed: &mut [bool],
     ) -> Result<(), Conflict> {
         let var: VarId = if axis_is_x {
             self.objects[i].x
         } else {
             self.objects[i].y
         };
+        let mut feasible =
+            |space: &Space, v: i32| self.value_feasible(space, i, axis_is_x, v, others, witnessed);
         // Min side.
-        let values: Vec<i32> = space.domain(var).iter().collect();
-        let new_min = values
-            .iter()
-            .copied()
-            .find(|&v| self.value_feasible(space, i, axis_is_x, v, total, own));
-        match new_min {
-            None => return Err(Conflict),
-            Some(v) => {
-                space.set_min(var, v)?;
-            }
-        }
-        let new_max = values
-            .iter()
-            .rev()
-            .copied()
-            .find(|&v| self.value_feasible(space, i, axis_is_x, v, total, own))
+        let new_min = space.domain(var).iter().find(|&v| feasible(space, v));
+        let Some(new_min) = new_min else {
+            return Err(Conflict);
+        };
+        space.set_min(var, new_min)?;
+        // Max side: the largest feasible value, at least `new_min`.
+        let new_max = (space.domain(var).ranges().iter().rev())
+            .flat_map(|&(lo, hi)| (lo..=hi).rev())
+            .find(|&v| feasible(space, v))
             .expect("max exists when min exists");
         space.set_max(var, new_max)?;
         Ok(())
     }
 
     /// Remove alive shapes of object `i` with no feasible placement left.
+    /// A shape `witnessed` free at a bound the axis sweeps kept still has
+    /// that placement, so only the others are scanned.
     fn prune_shapes(
         &self,
         space: &mut Space,
         i: usize,
-        total: &OccupancyGrid,
-        own: &Mandatory,
+        others: &ColumnMask,
+        witnessed: &[bool],
     ) -> Result<(), Conflict> {
         let obj = &self.objects[i];
         let alive: Vec<usize> = obj.alive_shapes(space).collect();
@@ -196,45 +188,70 @@ impl NonOverlap {
             return Ok(()); // axis pruning already proved feasibility
         }
         for s in alive {
-            let mut feasible = false;
-            'scan: for x in space.domain(obj.x).iter() {
-                for y in space.domain(obj.y).iter() {
-                    if self.placement_free(i, s, x, y, total, own) {
-                        feasible = true;
-                        break 'scan;
-                    }
-                }
-            }
+            let feasible = witnessed[s]
+                || (space.domain(obj.x).iter())
+                    .any(|x| self.partner_free(space, i, s, true, x, others));
             if !feasible {
                 space.remove(obj.shape, s as i32)?;
             }
         }
         Ok(())
     }
+
+    /// Steps 3–4 for object `i` against the other objects' mandatory
+    /// tiles (`others`).
+    fn sweep(&self, space: &mut Space, i: usize, others: &ColumnMask) -> Result<(), Conflict> {
+        let obj = &self.objects[i];
+        if obj.alive_shapes(space).next().is_none() {
+            return Err(Conflict);
+        }
+        // The tiles a box can still cover; if no alive shape's boxes reach
+        // another object's mandatory tile, every placement is free.
+        let (x_min, x_max) = (space.min(obj.x), space.max(obj.x));
+        let (y_min, y_max) = (space.min(obj.y), space.max(obj.y));
+        let reaches = obj.alive_shapes(space).any(|s| {
+            obj.shapes[s].boxes().iter().any(|b| {
+                others.any_in(Rect::new(
+                    x_min + b.dx,
+                    y_min + b.dy,
+                    x_max - x_min + b.w,
+                    y_max - y_min + b.h,
+                ))
+            })
+        });
+        if !reaches {
+            return Ok(());
+        }
+        let mut witnessed = vec![false; obj.shapes.len()];
+        self.prune_axis(space, i, true, others, &mut witnessed)?;
+        self.prune_axis(space, i, false, others, &mut witnessed)?;
+        self.prune_shapes(space, i, others, &witnessed)
+    }
 }
 
 impl Propagator for NonOverlap {
     fn propagate(&self, space: &mut Space) -> Result<(), Conflict> {
-        let mut scratch = OccupancyGrid::new(self.bounds);
-        // Phase 1: mandatory parts and the global occupancy count.
-        let mandatory: Vec<Mandatory> = (0..self.objects.len())
-            .map(|i| self.mandatory(space, i, &mut scratch))
-            .collect();
-        let mut total = OccupancyGrid::new(self.bounds);
-        for m in &mandatory {
-            for &r in &m.rects {
-                total.add_rect(r, 1);
+        // Phases 1+2: mandatory parts, failing as soon as two share a tile.
+        let mut total = ColumnMask::new(self.bounds);
+        let mut rects = Vec::new();
+        let mut parts = Vec::with_capacity(self.objects.len());
+        for i in 0..self.objects.len() {
+            let start = rects.len();
+            self.mandatory(space, i, &mut rects);
+            for &r in &rects[start..] {
+                if total.any_in(r) {
+                    return Err(Conflict);
+                }
+                total.fill_rect(r);
             }
+            parts.push(start..rects.len());
         }
-        // Phase 2: two mandatory parts on one tile is a hard conflict.
-        if total.max_count() >= 2 {
-            return Err(Conflict);
-        }
-        // Phase 3+4: sweep anchors and shape selectors.
-        for (i, own) in mandatory.iter().enumerate() {
-            self.prune_axis(space, i, true, &total, own)?;
-            self.prune_axis(space, i, false, &total, own)?;
-            self.prune_shapes(space, i, &total, own)?;
+        // Phase 3+4: sweep anchors and shape selectors, each object against
+        // everyone else's mandatory tiles.
+        for (i, own) in parts.into_iter().enumerate() {
+            rects[own.clone()].iter().for_each(|&r| total.clear_rect(r));
+            self.sweep(space, i, &total)?;
+            rects[own].iter().for_each(|&r| total.fill_rect(r));
         }
         Ok(())
     }

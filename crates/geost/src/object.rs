@@ -47,29 +47,33 @@ impl GeostObject {
     /// return the per-shape mandatory rectangle lists for the caller to
     /// intersect.
     pub fn mandatory_rects_per_shape(&self, space: &Space) -> Vec<Vec<rrf_fabric::Rect>> {
+        self.alive_shapes(space)
+            .map(|s| self.mandatory_rects(space, s).collect())
+            .collect()
+    }
+
+    /// The compulsory rectangles of shape `s` alone (see
+    /// [`GeostObject::mandatory_rects_per_shape`]).
+    pub fn mandatory_rects<'a>(
+        &'a self,
+        space: &Space,
+        s: usize,
+    ) -> impl Iterator<Item = rrf_fabric::Rect> + 'a {
         let x_min = space.min(self.x);
         let x_max = space.max(self.x);
         let y_min = space.min(self.y);
         let y_max = space.max(self.y);
-        self.alive_shapes(space)
-            .map(|s| {
-                self.shapes[s]
-                    .boxes()
-                    .iter()
-                    .filter_map(|b| {
-                        let lo_x = x_max + b.dx;
-                        let hi_x = x_min + b.dx + b.w; // exclusive
-                        let lo_y = y_max + b.dy;
-                        let hi_y = y_min + b.dy + b.h;
-                        if lo_x < hi_x && lo_y < hi_y {
-                            Some(rrf_fabric::Rect::new(lo_x, lo_y, hi_x - lo_x, hi_y - lo_y))
-                        } else {
-                            None
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
+        self.shapes[s].boxes().iter().filter_map(move |b| {
+            let lo_x = x_max + b.dx;
+            let hi_x = x_min + b.dx + b.w; // exclusive
+            let lo_y = y_max + b.dy;
+            let hi_y = y_min + b.dy + b.h;
+            if lo_x < hi_x && lo_y < hi_y {
+                Some(rrf_fabric::Rect::new(lo_x, lo_y, hi_x - lo_x, hi_y - lo_y))
+            } else {
+                None
+            }
+        })
     }
 }
 

@@ -309,13 +309,20 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
+    // Built before the journal replay: recovered sessions trace like live
+    // ones.
+    let tracer = match &config.trace_path {
+        Some(path) => rrf_trace::Tracer::new(Arc::new(rrf_trace::NdjsonSink::create(path)?)),
+        None => rrf_trace::Tracer::default(),
+    };
+
     let mut stats = ServerStats::default();
     let mut sessions = HashMap::new();
     let mut next_session = 1u64;
     let mut journal = None;
     if let Some(path) = &config.journal_path {
         let loaded = Journal::load(path)?;
-        let replayed = session::replay(&loaded.records);
+        let replayed = session::replay(&loaded.records, &tracer);
         next_session = replayed.next_session;
         for (id, session) in replayed.sessions {
             sessions.insert(id, Arc::new(Mutex::new(session)));
@@ -328,11 +335,6 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
             Some(loaded.valid_len),
         )?));
     }
-
-    let tracer = match &config.trace_path {
-        Some(path) => rrf_trace::Tracer::new(Arc::new(rrf_trace::NdjsonSink::create(path)?)),
-        None => rrf_trace::Tracer::default(),
-    };
 
     // Warm-load the persisted cache snapshot, if configured: entries
     // come back with their original solve budgets, so the degraded-entry
@@ -1081,7 +1083,7 @@ fn handle_adopt_journal(shared: &Arc<Shared>, id: u64, path: &str) -> Response {
     if loaded.truncated {
         errors.push("torn tail dropped".to_string());
     }
-    let replayed = session::replay(&loaded.records);
+    let replayed = session::replay(&loaded.records, &shared.tracer);
     if replayed.errors > 0 {
         errors.push(format!("{} replay divergences", replayed.errors));
     }

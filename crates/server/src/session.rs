@@ -275,8 +275,9 @@ impl Session {
 
     /// Rebuild a session from its snapshot; the scheduler history goes
     /// back through [`Session::apply`]. A snapshot that does not fit
-    /// together is refused.
-    pub fn restore(snapshot: SessionSnapshot) -> Result<Session, String> {
+    /// together is refused. `tracer` is the one a live session would get
+    /// (see [`Session::new`]).
+    pub fn restore(snapshot: SessionSnapshot, tracer: Tracer) -> Result<Session, String> {
         let SessionSnapshot {
             region,
             next_slot,
@@ -297,7 +298,7 @@ impl Session {
             names,
             sched: None,
             sched_ops: Vec::new(),
-            tracer: Tracer::default(),
+            tracer,
         };
         for op in sched_ops {
             if let Applied::Failed(e) = session.apply(&SessionOp::Sched(op)) {
@@ -331,7 +332,8 @@ pub struct Replayed {
 /// Rebuild sessions from journal records. Replay itself only keeps the
 /// session map (snapshot, open, close); every other record goes through
 /// [`Session::apply`] and is checked against what the live run journaled.
-pub fn replay(records: &[JournalRecord]) -> Replayed {
+/// Every rebuilt session gets `tracer`, as a live one gets the daemon's.
+pub fn replay(records: &[JournalRecord], tracer: &Tracer) -> Replayed {
     let mut out = Replayed {
         sessions: BTreeMap::new(),
         next_session: 1,
@@ -346,7 +348,7 @@ pub fn replay(records: &[JournalRecord]) -> Replayed {
                 out.sessions.clear();
                 out.next_session = *next_session;
                 for snap in sessions {
-                    match Session::restore(snap.clone()) {
+                    match Session::restore(snap.clone(), tracer.clone()) {
                         Ok(session) => {
                             out.sessions.insert(snap.session, session);
                         }
@@ -363,7 +365,7 @@ pub fn replay(records: &[JournalRecord]) -> Replayed {
                     out.errors += 1;
                     continue;
                 };
-                let live = Session::new(region, Tracer::default());
+                let live = Session::new(region, tracer.clone());
                 out.sessions.insert(*session, live);
             }
             JournalRecord::Close { session } => {
@@ -412,7 +414,7 @@ pub struct ReplaySummary {
 /// Replay journal records and summarize the resulting state. This is the
 /// same replay the daemon runs at startup and on `adopt_journal`.
 pub fn replay_summary(records: &[JournalRecord]) -> ReplaySummary {
-    let replayed = replay(records);
+    let replayed = replay(records, &Tracer::default());
     ReplaySummary {
         next_session: replayed.next_session,
         recovery_errors: replayed.errors,
@@ -607,14 +609,15 @@ mod tests {
         /// must both give back the live state.
         fn journal(&mut self, record: JournalRecord) -> Result<(), TestCaseError> {
             self.records.push(record);
-            let replayed = replay(&self.records);
+            let replayed = replay(&self.records, &Tracer::default());
             prop_assert_eq!(replayed.errors, 0);
             prop_assert_eq!(replayed.next_session, self.next_session);
             let ids = |m: &BTreeMap<u64, Session>| m.keys().copied().collect::<Vec<_>>();
             prop_assert_eq!(ids(&replayed.sessions), ids(&self.sessions));
             for (id, live) in &self.sessions {
                 let snapshot = live.snapshot(*id);
-                let restored = Session::restore(snapshot.clone()).map_err(TestCaseError::Fail)?;
+                let restored = Session::restore(snapshot.clone(), Tracer::default())
+                    .map_err(TestCaseError::Fail)?;
                 for recovered in [&replayed.sessions[id], &restored] {
                     prop_assert_eq!(recovered.snapshot(*id), snapshot.clone());
                     prop_assert_eq!(digests(recovered), digests(live));
@@ -726,5 +729,46 @@ mod tests {
             "snapshot",
         ];
         assert_eq!(kinds, every_kind.iter().map(|k| k.to_string()).collect());
+    }
+
+    /// A session rebuilt from the journal or from a snapshot traces the
+    /// scheduler's own records, as a live one does.
+    #[test]
+    fn recovered_sessions_trace_the_scheduler() {
+        let region = region_spec(0);
+        let mut live = Session::new(region.build().unwrap(), Tracer::default());
+        let mut records = vec![JournalRecord::Open { session: 1, region }];
+        let insert = SessionOp::Insert(module("a".into(), 4));
+        let applied = live.apply(&insert);
+        records.extend(insert.into_record(1, &applied));
+        let open = SessionOp::Sched(live.sched_open());
+        let applied = live.apply(&open);
+        records.extend(open.into_record(1, &applied));
+        let snapshot = live.snapshot(1);
+
+        let sink = std::sync::Arc::new(rrf_trace::MemorySink::new());
+        let tracer = Tracer::new(sink.clone());
+        let admits = || {
+            (sink.lines().iter())
+                .filter(|l| l.contains("\"sched.admit.result\""))
+                .count()
+        };
+        let mut replayed = replay(&records, &tracer);
+        assert_eq!(replayed.errors, 0);
+        let restored = Session::restore(snapshot, tracer.clone()).unwrap();
+        let submit = SessionOp::Sched(SchedOp::Submit {
+            task: TaskSpec {
+                module: module("t".into(), 0),
+                arrival: 0,
+                duration: 10,
+                deadline: None,
+                priority: 0,
+            },
+        });
+        for mut session in [replayed.sessions.remove(&1).unwrap(), restored] {
+            let before = admits();
+            assert!(matches!(session.apply(&submit), Applied::Submitted(..)));
+            assert_eq!(admits(), before + 1);
+        }
     }
 }

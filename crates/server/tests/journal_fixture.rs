@@ -13,6 +13,7 @@ use std::path::PathBuf;
 use rrf_server::journal::{Journal, JournalRecord, LoadedJournal};
 use rrf_server::replay_summary;
 use rrf_server::session::replay;
+use rrf_trace::Tracer;
 
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -81,7 +82,7 @@ fn fixture_records_serialize_back_to_their_lines() {
 
 #[test]
 fn fixture_replay_compacts_to_the_recorded_snapshot() {
-    let replayed = replay(&load().records);
+    let replayed = replay(&load().records, &Tracer::default());
     assert_eq!(replayed.errors, 0);
     let snapshot = JournalRecord::Snapshot {
         next_session: replayed.next_session,

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate, staged: fmt, clippy, build, lint, test, e2e, ablations.
+# Tier-1 gate, staged: fmt, clippy, build, lint, test, perfbench, e2e,
+# ablations.
 #
 #   scripts/ci.sh                 run every stage (the full gate)
 #   scripts/ci.sh --stage lint    run only the named stage (repeatable)
@@ -12,7 +13,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES=(fmt clippy build lint test e2e ablations)
+ALL_STAGES=(fmt clippy build lint test perfbench e2e ablations)
 
 usage() {
     echo "usage: scripts/ci.sh [--stage NAME]... [--skip NAME]... [--list]"
@@ -172,6 +173,13 @@ stage_test() {
     diff -u tests/expected/sched/small_trace.ndjson "$tmp/small_trace.ndjson"
     "$SCHED" --gen poisson:20:11 --advance-to 4000 > "$tmp/gen_poisson20.ndjson"
     diff -u tests/expected/sched/gen_poisson20.ndjson "$tmp/gen_poisson20.ndjson"
+}
+
+stage_perfbench() {
+    # perfbench is a package of its own (its own workspace), so the
+    # workspace build never compiles it. Its tests run every workload in
+    # short mode: every check must pass and the exact figures repeat.
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
 }
 
 stage_e2e() {
