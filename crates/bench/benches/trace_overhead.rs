@@ -1,4 +1,4 @@
-//! Tracing overhead gate (not a criterion bench): the seeded paper
+//! Tracing overhead gate (a plain binary, not a test harness): the seeded paper
 //! workload is solved with a disabled tracer and with a
 //! [`CountingSink`]-backed tracer, interleaved, and the **median of the
 //! per-round traced/untraced ratios** is compared against the budget.

@@ -249,7 +249,10 @@ fn run_arm(
     total
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one row of the arm table: each argument is a column it records"
+)]
 fn record(
     arm: &str,
     out: &ArmOutcome,

@@ -3,7 +3,8 @@
 //! Shared setup for every table and figure reproduction (see the
 //! per-experiment index in `DESIGN.md`). The binaries in `src/bin/`
 //! regenerate the paper's Table I and Figures 1–5 plus the ablations;
-//! the criterion benches in `benches/` time the hot paths.
+//! `benches/trace_overhead.rs` is the tracing-overhead CI gate. Speed is
+//! measured by `perfbench/`.
 
 #![forbid(unsafe_code)]
 

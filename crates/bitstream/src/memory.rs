@@ -1,6 +1,9 @@
 //! The device's configuration memory: loads partial bitstreams, merges
 //! frames, and detects conflicting writes.
 
+// Determinism: frame memory feeds bitstream bytes and session dumps.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use crate::assemble::PartialBitstream;
 use crate::frame::FrameGeometry;
 use rrf_fabric::Region;

@@ -264,7 +264,11 @@ enum Direction {
     ServerToClient,
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a pump's two streams, seeded RNG, settings and shared flags; a struct would \
+              only rename them"
+)]
 fn spawn_pump(
     from: std::io::Result<TcpStream>,
     to: std::io::Result<TcpStream>,
@@ -365,7 +369,11 @@ impl Injector {
 
 /// Forward bytes `from` → `to`, injecting faults per chunk. Returns when
 /// either side closes, a disconnect is injected, or the proxy shuts down.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a pump's two streams, seeded RNG, settings and shared flags; a struct would \
+              only rename them"
+)]
 fn pump(
     mut from: TcpStream,
     mut to: TcpStream,
@@ -388,13 +396,16 @@ fn pump(
         if shutdown.load(Ordering::SeqCst) {
             return Ok(());
         }
+        let read = from.read(&mut buf);
         if partitioned.load(Ordering::SeqCst) {
-            // The cable is pulled: cut both directions mid-stream.
+            // The cable is pulled: cut both directions mid-stream. Checked
+            // after the read, so bytes that arrived while the read waited
+            // are dropped rather than forwarded across the partition.
             let _ = from.shutdown(Shutdown::Both);
             let _ = to.shutdown(Shutdown::Both);
             return Ok(());
         }
-        let n = match from.read(&mut buf) {
+        let n = match read {
             Ok(0) => {
                 // Propagate the half-close so the other end's read sees
                 // EOF rather than hanging.

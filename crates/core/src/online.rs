@@ -9,6 +9,9 @@
 //! on *online* acceptance rates can be measured (see the
 //! `ablation_online` harness binary).
 
+// Determinism: online session state is journaled and replayed.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use crate::model::Module;
 use crate::placement::PlacedModule;
 use crate::reconfig::{module_cost, FrameCostModel, ReconfigCost};
@@ -405,7 +408,11 @@ impl OnlinePlacer {
     /// on the deadline, so a journal stores the report — the complete
     /// state delta — and replays it with [`OnlinePlacer::apply_repair`].
     pub fn plan_repair(&self, budget: Duration, model: &FrameCostModel) -> RepairReport {
-        // rrf-lint: allow(RRFL001, reason="repair is deadline-driven by design; its outcome is journaled as a state delta and replayed via apply_repair, never recomputed")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "repair is deadline-driven by design; its outcome is journaled as a state \
+                      delta and replayed via apply_repair, never recomputed"
+        )]
         let deadline = Instant::now() + budget;
         let displaced = self.displaced_slots();
         let mut report = RepairReport {
@@ -455,7 +462,11 @@ impl OnlinePlacer {
                 |_, v| v.sort_unstable(),
             ];
             for order_fn in orderings {
-                // rrf-lint: allow(RRFL001, reason="deadline check for the journaled-delta repair pass; see the suppression at the top of plan_repair")
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "deadline check for the journaled-delta repair pass; see the \
+                              expectation at the top of plan_repair"
+                )]
                 if Instant::now() >= deadline {
                     break;
                 }

@@ -4,10 +4,13 @@
 //! Every placer output in this workspace is expected to pass `verify`; the
 //! test suites use it as the ground truth the CP model is validated against.
 
+// Determinism: online session state is journaled and replayed, and its
+// checks run here.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use crate::model::Module;
 use crate::placement::Floorplan;
 use rrf_fabric::{Point, Region, ResourceKind};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A single constraint violation.
@@ -64,7 +67,12 @@ impl fmt::Display for Violation {
 /// violations (empty = valid).
 pub fn verify(region: &Region, modules: &[Module], plan: &Floorplan) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let mut owner: HashMap<(i32, i32), usize> = HashMap::new();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup only, never iterated, so its order cannot leak; a BTreeMap here \
+                  doubled verify time"
+    )]
+    let mut owner: std::collections::HashMap<(i32, i32), usize> = std::collections::HashMap::new();
     for p in &plan.placements {
         if p.module >= modules.len() || p.shape >= modules[p.module].num_shapes() {
             violations.push(Violation::BadIndex {

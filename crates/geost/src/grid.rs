@@ -1,6 +1,9 @@
 //! A counting occupancy grid: the live layout of the greedy, annealing
 //! and online placers.
 
+// Determinism: grid digests escape into dump_session output.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use crate::fit;
 use crate::shape::ShapeDef;
 use rrf_fabric::{ColumnMask, Point, Rect};

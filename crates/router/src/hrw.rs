@@ -17,6 +17,10 @@
 //! the placement cache uses for shard selection, so the whole workspace
 //! has one hashing idiom to audit for determinism.
 
+// Determinism: session pinning and failover standby choice must agree
+// across router restarts and with tests that recompute the placement.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 /// FNV-1a over raw bytes (64-bit offset basis / prime).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;

@@ -154,8 +154,8 @@ impl Default for RouterConfig {
 }
 
 /// The router's own counters, served by the router-only
-/// `{"type":"router_stats","id":N}` request. Registered in the lint
-/// registry (`router_counters`): names are append-only — dashboards and
+/// `{"type":"router_stats","id":N}` request. Listed in the registry test
+/// (`tests/registry.rs`): names are append-only — dashboards and
 /// EXPERIMENTS.md key on them.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RouterStats {

@@ -14,6 +14,9 @@
 //! A planner bug therefore surfaces as a [`CommitError`] (and a failing
 //! proptest), never as silent double-booking.
 
+// Determinism: schedule digests and the deterministic event ledger.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use std::collections::BTreeMap;
 
 use rrf_fabric::{Rect, Region};

@@ -33,6 +33,9 @@
 //! misses therefore only happen in the queue (`deadline_misses`) or
 //! through faults killing loaded reservations (`fault_killed`).
 
+// Determinism: schedule digests and the deterministic event ledger.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use std::cmp::Reverse;
 
 use rrf_core::{cp, FrameCostModel, PlacementProblem, PlacerConfig, SearchStrategy};
@@ -662,7 +665,6 @@ impl Scheduler {
     /// deadline are pruned — under deadline pressure only the
     /// fast-loading alternatives remain, the latency arm of the paper's
     /// tradeoff.
-    #[allow(clippy::type_complexity)]
     fn find_fit(&self, id: TaskId, t0: Tick) -> Option<(usize, i32, i32, Tick, Vec<Rect>)> {
         let rec = &self.tasks[&id];
         for (si, shape) in rec.task.module.shapes().iter().enumerate() {
@@ -747,7 +749,10 @@ impl Scheduler {
 
     /// Book one reservation and dequeue its task. Ledger commit failure
     /// is a planner bug; it is counted nowhere and simply refused.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the fields of one reservation, passed straight through to the ledger"
+    )]
     fn commit(
         &mut self,
         id: TaskId,

@@ -12,6 +12,9 @@
 //! *chosen* shape — the shorter-config alternatives are the latency arm
 //! of the paper's area-vs-alternatives tradeoff.
 
+// Determinism: schedule digests and the deterministic event ledger.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use rrf_core::{FrameCostModel, Module};
 use rrf_fabric::ResourceKind;
 use rrf_flow::{resolve_module, ModuleEntry};

@@ -24,11 +24,6 @@
 //! trace records (spans, counters, wall timings) to PATH; render the file
 //! with the `rrf-trace` CLI (`rrf-trace --phases --props PATH`).
 
-// The one place in the workspace that needs `unsafe`: the FFI signal
-// registration below. Denied crate-wide so any new use must carry its own
-// scoped, justified `allow`.
-#![deny(unsafe_code)]
-
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -44,16 +39,24 @@ extern "C" fn on_signal(_signum: i32) {
 
 /// Install `on_signal` for SIGINT and SIGTERM via the libc `signal(2)`
 /// entry point (declared directly — no bindings crate needed).
-// `unsafe` is unavoidable here: calling a foreign function (and declaring
-// it) cannot be checked by the compiler. The handler it installs only
-// stores to an atomic, which is async-signal-safe.
-#[allow(unsafe_code)]
+///
+/// The workspace denies `unsafe_code`, and this is its one `allow`: every
+/// other crate root carries `#![forbid(unsafe_code)]`, under which rustc
+/// rejects an `allow`.
+#[allow(
+    unsafe_code,
+    reason = "calling (and declaring) a foreign function cannot be checked by the compiler; \
+              the handler it installs only stores to an atomic, which is async-signal-safe"
+)]
 fn install_signal_handlers() {
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
     extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
     }
+    // SAFETY: `signal` takes a signal number and a handler with the C ABI
+    // and signature it declares; `on_signal` is one, and it only stores to
+    // an atomic.
     unsafe {
         signal(SIGINT, on_signal);
         signal(SIGTERM, on_signal);

@@ -19,6 +19,10 @@
 //! * [`persist`] — the byte-deterministic NDJSON snapshot written on
 //!   graceful shutdown and warm-loaded at startup (`--cache-persist`).
 
+// Determinism: response bytes that golden e2e tests diff across runs.
+// Child modules inherit this; `singleflight` opts out with its reason.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 pub mod persist;
 pub mod shard;
 pub mod singleflight;
@@ -151,13 +155,19 @@ pub fn remap_report(canon: &FlowReport, map: &CanonMap) -> FlowReport {
 /// even miss a feasible one entirely) that a roomier request could beat.
 /// Entries therefore record their solve budget, and a cached answer is
 /// only served when it is *proven* (deadline-independent) or when the new
-/// request's remaining budget is no larger than the one that produced it
-/// — otherwise the daemon recomputes and overwrites the entry.
+/// request's declared budget is no larger than the one that produced it
+/// — otherwise the daemon recomputes and overwrites the entry. Declared
+/// budgets (`deadline_ms`, or the daemon default) are compared rather
+/// than clock readings, so an identical repeat is served whatever the
+/// jitter between the two requests.
 #[derive(Debug, Clone)]
 pub struct CacheEntry {
     pub method: PlaceMethod,
     pub report: FlowReport,
-    /// Remaining wall-clock budget at the moment the solve started.
+    /// The declared budget of the request whose solve produced it.
+    /// (Entries persisted by earlier builds hold the remaining budget when
+    /// their solve started, which is never larger: they serve fewer
+    /// requests, not more.)
     pub budget: Duration,
 }
 
@@ -172,11 +182,11 @@ impl CacheEntry {
         }
     }
 
-    /// Whether this entry may answer a request with `remaining` budget:
+    /// Whether this entry may answer a request that declares `budget`:
     /// proven results always can; degraded/unproven results only when the
     /// new request could not have climbed higher on the ladder anyway.
-    pub fn servable_within(&self, remaining: Duration) -> bool {
-        self.is_proven() || remaining <= self.budget
+    pub fn servable_within(&self, budget: Duration) -> bool {
+        self.is_proven() || budget <= self.budget
     }
 }
 

@@ -24,6 +24,9 @@
 //! A version we do not understand loads nothing (forward compatibility
 //! is not guessed at).
 
+// Determinism: persisted cache snapshot bytes.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use std::fs::File;
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
@@ -91,11 +94,10 @@ pub fn save(path: impl AsRef<Path>, entries: &[(String, CacheEntry)]) -> std::io
         report.stats.duration = Duration::ZERO;
         report.stats.time_to_best = Duration::ZERO;
         // A proven entry's budget never matters (`servable_within`
-        // short-circuits on proof) but its raw value is arrival-time
-        // jitter from the solve that produced it — normalize it away.
-        // A degraded entry's budget IS the upgrade bar and persists
-        // as-is (such snapshots are content-equal, not byte-equal,
-        // across runs).
+        // short-circuits on proof), so it is normalized away: two runs
+        // that proved a spec under different deadlines write the same
+        // bytes. A degraded entry's budget IS the upgrade bar and
+        // persists as-is.
         let budget_us = if entry.is_proven() {
             0
         } else {

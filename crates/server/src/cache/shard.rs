@@ -15,6 +15,9 @@
 //! so exports never depend on hash order) with its own hit/miss/
 //! insertion/eviction counters, surfaced through `stats_detail`.
 
+// Determinism: shard assignment (FNV-1a, fixed) must agree across runs.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -135,14 +138,14 @@ impl ShardedCache {
         &self.shards[(fnv1a(key) % self.shards.len() as u64) as usize]
     }
 
-    /// Look up `key` for a request with `remaining` budget, bumping the
+    /// Look up `key` for a request that declares `budget`, bumping the
     /// entry's recency and the shard's counters. Only the owning shard's
     /// lock is taken, and only for the duration of the map operation.
-    pub fn probe(&self, key: &str, remaining: Duration) -> Probe {
+    pub fn probe(&self, key: &str, budget: Duration) -> Probe {
         let mut shard = self.shard_of(key).lock();
         let tick = shard.next_tick();
         match shard.entries.get_mut(key) {
-            Some(slot) if slot.entry.servable_within(remaining) => {
+            Some(slot) if slot.entry.servable_within(budget) => {
                 slot.last_used = tick;
                 let entry = slot.entry.clone();
                 shard.hits += 1;

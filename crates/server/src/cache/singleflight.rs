@@ -10,7 +10,7 @@
 //!
 //! Joining respects the degraded-entry budget-upgrade rule (see
 //! [`CacheEntry::servable_within`]): a flight records the leader's
-//! remaining budget at registration, and only requests with *no more*
+//! declared budget at registration, and only requests declaring *no more*
 //! budget than that join — the leader's (possibly degraded) answer is
 //! then at least as good as anything their own budget could have bought.
 //! A roomier request runs **solo**: it solves independently, without
@@ -25,6 +25,13 @@
 //! joiner whose wait exceeds its own deadline plus slack answers
 //! `overloaded` (retry-safe: its request never touched any state), which
 //! the `rrf-client` retry loop handles like any other shed.
+
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "coalescing is concurrency machinery: which request leads a flight is \
+              timing-dependent by design, and no byte-bearing output derives from it"
+)]
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,8 +54,7 @@ pub enum Role<'a> {
 }
 
 struct Flight {
-    /// The leader's remaining budget when the flight was registered —
-    /// the join-compatibility bar.
+    /// The leader's declared budget — the join-compatibility bar.
     budget: Duration,
     waiters: Vec<Sender<Option<CacheEntry>>>,
 }
@@ -64,13 +70,13 @@ pub struct SingleFlight {
 }
 
 impl SingleFlight {
-    /// Classify a cache-missing request with `remaining` budget. The
+    /// Classify a cache-missing request that declares `budget`. The
     /// table lock is never held across a solve — only for this map
     /// operation and for `publish`.
-    pub fn begin(&self, key: &str, remaining: Duration) -> Role<'_> {
+    pub fn begin(&self, key: &str, budget: Duration) -> Role<'_> {
         let mut flights = self.flights.lock();
         match flights.get_mut(key) {
-            Some(flight) if remaining <= flight.budget => {
+            Some(flight) if budget <= flight.budget => {
                 let (tx, rx) = bounded(1);
                 flight.waiters.push(tx);
                 self.joins.fetch_add(1, Ordering::Relaxed);
@@ -81,7 +87,7 @@ impl SingleFlight {
                 flights.insert(
                     key.to_string(),
                     Flight {
-                        budget: remaining,
+                        budget,
                         waiters: Vec::new(),
                     },
                 );

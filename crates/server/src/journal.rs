@@ -22,6 +22,11 @@
 //! malformed line and reports the valid byte length, so the recovering
 //! daemon can truncate the torn tail and keep appending.
 
+// Determinism: journal replay re-executes records through this module at
+// recovery, and two replays of the same bytes must produce identical
+// state.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};

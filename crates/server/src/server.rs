@@ -337,7 +337,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     }
 
     // Warm-load the persisted cache snapshot, if configured: entries
-    // come back with their original solve budgets, so the degraded-entry
+    // come back with the budgets that produced them, so the degraded-entry
     // upgrade rule keeps working across the restart.
     let cache = ShardedCache::new(config.cache_capacity, config.cache_shards);
     if let Some(path) = &config.cache_persist_path {
@@ -421,6 +421,16 @@ impl Drop for ConnGuard<'_> {
     }
 }
 
+// Panic safety: the accept and connection threads run outside the
+// worker pool's `catch_unwind` (see `worker_loop`), so a panic in these
+// handlers kills its thread instead of degrading one request. Each one
+// denies the panicking shortcuts; a proven bound is an `#[expect]`.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic
+)]
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, jobs_tx: &Sender<Job>) {
     // Connection threads are detached: they exit on client disconnect or
     // on the shutdown flag (their reads time out every POLL interval).
@@ -451,6 +461,13 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, jobs_tx: &Sender<Jo
 
 /// Turn away a connection at the `max_conns` cap: best-effort write of
 /// one structured `overloaded` line, then drop the stream.
+// Panic safety: see `accept_loop`.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic
+)]
 fn reject_connection(mut stream: TcpStream, shared: &Shared) {
     shared.stats.lock().conns_rejected += 1;
     let p50 = shared.detail.lock().solve_p50_us();
@@ -459,7 +476,11 @@ fn reject_connection(mut stream: TcpStream, shared: &Shared) {
         message: "server overloaded: connection limit reached".to_string(),
         retry_after_ms: retry_after_ms(p50, shared.config.queue_depth, shared.config.workers),
     };
-    // rrf-lint: allow(RRFL004, reason="Response serialization cannot fail (no non-string map keys, no fallible Serialize impls); a panic would only drop this already-rejected connection")
+    #[expect(
+        clippy::expect_used,
+        reason = "Response serialization cannot fail (no non-string map keys, no fallible \
+                  Serialize impls); a panic would only drop this already-rejected connection"
+    )]
     let mut line = serde_json::to_string(&response).expect("protocol types serialize infallibly");
     line.push('\n');
     let _ = stream.set_write_timeout(Some(Duration::from_millis(1_000)));
@@ -469,12 +490,23 @@ fn reject_connection(mut stream: TcpStream, shared: &Shared) {
 /// Serialize and write one response line. A write that stalls past the
 /// configured write timeout marks the client slow; the caller drops the
 /// connection (a half-written line is unrecoverable anyway).
+// Panic safety: see `accept_loop`.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic
+)]
 fn write_response(
     writer: &mut TcpStream,
     response: &Response,
     shared: &Shared,
 ) -> std::io::Result<()> {
-    // rrf-lint: allow(RRFL004, reason="Response serialization cannot fail (no non-string map keys, no fallible Serialize impls); a panic would only tear down this one connection thread")
+    #[expect(
+        clippy::expect_used,
+        reason = "Response serialization cannot fail (no non-string map keys, no fallible \
+                  Serialize impls); a panic would only tear down this one connection thread"
+    )]
     let mut out = serde_json::to_string(response).expect("protocol types serialize infallibly");
     out.push('\n');
     writer.write_all(out.as_bytes()).inspect_err(|e| {
@@ -487,10 +519,21 @@ fn write_response(
 /// Best-effort recovery of the `"id"` field from a raw (possibly
 /// truncated) request line that will never parse as JSON — the reserved
 /// sentinel 0 when none can be found.
+// Panic safety: see `accept_loop`.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic
+)]
 fn scan_id(bytes: &[u8]) -> u64 {
     let Some(pos) = bytes.windows(4).position(|w| w == b"\"id\"") else {
         return 0;
     };
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "pos + 4 <= bytes.len(): `windows(4)` matched there"
+    )]
     let mut it = bytes[pos + 4..]
         .iter()
         .copied()
@@ -508,6 +551,13 @@ fn scan_id(bytes: &[u8]) -> u64 {
         .unwrap_or(0)
 }
 
+// Panic safety: see `accept_loop`.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic
+)]
 fn serve_connection(
     stream: TcpStream,
     shared: &Arc<Shared>,
@@ -548,9 +598,17 @@ fn serve_connection(
             }
             let newline_at = available.iter().position(|&b| b == b'\n');
             let upto = newline_at.map(|p| p + 1).unwrap_or(available.len());
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "upto <= available.len(): one past a newline in it, or its length"
+            )]
             (available[..upto].to_vec(), newline_at)
         };
         reader.consume(chunk.len());
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "p < chunk.len(): chunk ends one past the newline at p"
+        )]
         let body = match newline_at {
             Some(p) => &chunk[..p],
             None => &chunk[..],
@@ -564,6 +622,10 @@ fn serve_connection(
             // Cap blown mid-line: keep only the capped prefix (enough to
             // scan for the request id), answer once, discard the rest.
             let keep = max_line.saturating_sub(line.len()).min(body.len());
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "keep <= body.len(): it is clamped by the `min` above"
+            )]
             line.extend_from_slice(&body[..keep]);
             shared.stats.lock().oversized_lines += 1;
             let response = Response::Error {
@@ -590,6 +652,13 @@ fn serve_connection(
 
 /// Parse one request line, run it through the queue, return its response
 /// (`None` for blank lines).
+// Panic safety: see `accept_loop`.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic
+)]
 fn dispatch(line: &str, shared: &Arc<Shared>, jobs_tx: &Sender<Job>) -> Option<Response> {
     if line.is_empty() {
         return None;
@@ -981,6 +1050,13 @@ fn commit(shared: &Shared, session: u64, s: &mut Session, op: SessionOp) -> Appl
 /// Append one record to the journal, if journaling is on. Called while
 /// holding the affected session's lock, so the journal's per-session
 /// order matches the order operations were applied in.
+// Panic safety: see `accept_loop`.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic
+)]
 fn journal_append(shared: &Shared, record: &JournalRecord) {
     let Some(journal) = &shared.journal else {
         return;
@@ -996,6 +1072,15 @@ fn journal_append(shared: &Shared, record: &JournalRecord) {
 /// plus every session lock, ascending by id — so no operation can slip
 /// its record between the snapshot and the rewrite. Must not be called
 /// while holding any session lock.
+// Panic safety: see `accept_loop`.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic
+)]
+// Determinism: the snapshot it writes is what replay restores.
+#[deny(clippy::disallowed_methods, clippy::disallowed_types)]
 fn compact_journal(shared: &Shared) {
     let Some(journal) = &shared.journal else {
         return;
@@ -1320,8 +1405,8 @@ fn finish_place_trace(shared: &Shared, id: u64, clock: PhaseClock, method: &'sta
 }
 
 /// The one cache write-back. Every solved `place` — feasible or
-/// infeasible — funnels through here: insert the entry (with the budget
-/// that produced it, for the degraded-upgrade rule), then release any
+/// infeasible — funnels through here: insert the entry (with the declared
+/// budget that produced it, for the degraded-upgrade rule), then release any
 /// coalesced joiners with a clone of the same entry. Keeping this a
 /// single site is what guarantees the cache and the joiners can never
 /// see different answers for one solve.
@@ -1331,12 +1416,12 @@ fn finish_solve(
     flight: Option<FlightGuard<'_>>,
     method: PlaceMethod,
     report: &FlowReport,
-    solve_budget: Duration,
+    budget: Duration,
 ) {
     let entry = CacheEntry {
         method,
         report: report.clone(),
-        budget: solve_budget,
+        budget,
     };
     shared.cache.insert(key, entry.clone());
     if let Some(flight) = flight {
@@ -1356,19 +1441,21 @@ fn handle_place(
 ) -> Response {
     shared.stats.lock().place_requests += 1;
     let mut clock = PhaseClock::start(accepted_at);
-    let deadline = accepted_at
-        + Duration::from_millis(deadline_ms.unwrap_or(shared.config.default_deadline_ms));
+    // The declared budget, not a clock reading, is what the cache and the
+    // coalescing table compare: an identical repeat then finds the entry
+    // whatever the jitter between the two requests' clock reads.
+    let budget = Duration::from_millis(deadline_ms.unwrap_or(shared.config.default_deadline_ms));
+    let deadline = accepted_at + budget;
     let (canonical, map) = canonicalize(spec);
     let key = cache_key(&canonical);
-    let remaining = deadline.saturating_duration_since(Instant::now());
 
     // Cached results are only reused when they cannot be beaten by this
     // request's budget: proven outcomes always, degraded/unproven ones
-    // only for requests at least as deadline-starved as the one that
+    // only for requests that declare no more budget than the one that
     // produced them (see [`CacheEntry::servable_within`]). Anything else
     // is recomputed with the bigger budget and the entry overwritten.
     let mut bypassed_degraded = false;
-    match shared.cache.probe(&key, remaining) {
+    match shared.cache.probe(&key, budget) {
         Probe::Served(entry) => {
             clock.lap("solve.cache_probe");
             shared.stats.lock().cache_hits += 1;
@@ -1400,7 +1487,7 @@ fn handle_place(
     // solves solo, upgrading the entry as it always did.
     let mut flight: Option<FlightGuard> = None;
     if shared.config.coalesce {
-        match shared.singleflight.begin(&key, remaining) {
+        match shared.singleflight.begin(&key, budget) {
             Role::Leader(guard) => flight = Some(guard),
             Role::Joiner(rx) => {
                 let wait = deadline.saturating_duration_since(Instant::now()) + COALESCE_SLACK;
@@ -1500,9 +1587,6 @@ fn handle_place(
     let stop = Arc::new(AtomicBool::new(false));
     shared.watchdog.register(deadline, Arc::clone(&stop));
     let solve_started = Instant::now();
-    // The budget that produced the result is cached alongside it, so a
-    // later, roomier request knows to recompute rather than trust a
-    // deadline-degraded answer.
     let solve_budget = deadline.saturating_duration_since(solve_started);
 
     // Rung 1: the CP placer — unless the budget is already tight, or the
@@ -1602,7 +1686,7 @@ fn handle_place(
             flight,
             PlaceMethod::Infeasible,
             &report,
-            solve_budget,
+            budget,
         );
         shared.detail.lock().record_method(PlaceMethod::Infeasible);
         finish_place_trace(shared, id, clock, "infeasible");
@@ -1657,7 +1741,10 @@ fn handle_place(
             PlaceMethod::Infeasible => unreachable!("picked implies a floorplan"),
         }
     }
-    finish_solve(shared, key, flight, method, &report, solve_budget);
+    // The declared budget is cached alongside the result, so a later,
+    // roomier request knows to recompute rather than trust a
+    // deadline-degraded answer.
+    finish_solve(shared, key, flight, method, &report, budget);
     shared.detail.lock().record_method(method);
     finish_place_trace(shared, id, clock, method_name(method));
     Response::Placed {

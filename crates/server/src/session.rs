@@ -12,6 +12,11 @@
 //! submit's task id, a remove that removed); anything else is counted as
 //! a recovery error, never a panic.
 
+// Determinism: the session core is the one path live ops and journal
+// replay share, and two replays of the same bytes must produce identical
+// state.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use std::collections::BTreeMap;
 
 use rrf_core::{FaultImpact, Module, OnlinePlacer, RepairReport, SlotId};

@@ -298,3 +298,40 @@ fn unproven_infeasible_entries_ride_the_budget_upgrade_ladder() {
 
     handle.shutdown();
 }
+
+/// A degraded result is cached under the budget its request declared,
+/// so an identical repeat with the same `deadline_ms` is a hit. (The
+/// entry used to hold the budget left when its solve started, read after
+/// preflight, while a repeat probed with what it had left on arrival:
+/// the repeat nearly always read more budget and solved again.)
+#[test]
+fn degraded_repeat_with_the_same_deadline_is_a_cache_hit() {
+    let handle = start(ServerConfig::default()).unwrap();
+    let mut client = RawClient::connect(handle.addr());
+    let spec = heavy_spec(3);
+    let place = |client: &mut RawClient, id: u64| match client.roundtrip(&Request::Place {
+        id,
+        spec: spec.clone(),
+        // Under the tight-budget bar: CP is skipped, the answer degrades.
+        deadline_ms: Some(150),
+    }) {
+        Response::Placed {
+            method, cache_hit, ..
+        } => (method, cache_hit),
+        other => panic!("expected placed, got {other:?}"),
+    };
+
+    let (method, cache_hit) = place(&mut client, 1);
+    assert!(!cache_hit);
+    assert!(matches!(method, PlaceMethod::Lns | PlaceMethod::BottomLeft));
+    for id in 2..=4 {
+        assert_eq!(place(&mut client, id), (method, true), "repeat {id}");
+    }
+
+    let stats = fetch_stats(&mut client, 5);
+    assert_eq!(stats.cache_hits, 3);
+    assert_eq!(stats.cache_misses, 1);
+    assert_eq!(stats.cache_bypass_degraded, 0);
+
+    handle.shutdown();
+}

@@ -1,58 +1,7 @@
-//! Binary arithmetic constraints: equality with offset, ordering with
-//! offset, disequality, and scaled equality.
+//! Binary disequality with an offset.
 
-use crate::domain::Domain;
 use crate::propagator::Propagator;
 use crate::space::{Conflict, Space, VarId};
-
-/// `x + c == y`, domain-consistent: each domain is intersected with the
-/// other's translate.
-pub struct EqOffset {
-    pub x: VarId,
-    pub y: VarId,
-    pub c: i32,
-}
-
-impl Propagator for EqOffset {
-    fn propagate(&self, space: &mut Space) -> Result<(), Conflict> {
-        let shifted_x = space.domain(self.x).shifted(self.c);
-        space.intersect(self.y, &shifted_x)?;
-        let shifted_y = space.domain(self.y).shifted(-self.c);
-        space.intersect(self.x, &shifted_y)?;
-        Ok(())
-    }
-
-    fn dependencies(&self) -> Vec<VarId> {
-        vec![self.x, self.y]
-    }
-
-    fn name(&self) -> &'static str {
-        "eq_offset"
-    }
-}
-
-/// `x + c <= y`, bounds-consistent.
-pub struct LeqOffset {
-    pub x: VarId,
-    pub y: VarId,
-    pub c: i32,
-}
-
-impl Propagator for LeqOffset {
-    fn propagate(&self, space: &mut Space) -> Result<(), Conflict> {
-        space.set_max(self.x, space.max(self.y) - self.c)?;
-        space.set_min(self.y, space.min(self.x) + self.c)?;
-        Ok(())
-    }
-
-    fn dependencies(&self) -> Vec<VarId> {
-        vec![self.x, self.y]
-    }
-
-    fn name(&self) -> &'static str {
-        "leq_offset"
-    }
-}
 
 /// `x != y + c`. Prunes only once a side is fixed (value consistency, which
 /// is complete for binary disequality).
@@ -83,48 +32,10 @@ impl Propagator for NotEqualOffset {
     }
 }
 
-/// `a * x == y` with constant `a != 0`, domain-consistent.
-pub struct ScaledEq {
-    pub a: i32,
-    pub x: VarId,
-    pub y: VarId,
-}
-
-impl Propagator for ScaledEq {
-    fn propagate(&self, space: &mut Space) -> Result<(), Conflict> {
-        assert!(self.a != 0, "ScaledEq requires a non-zero coefficient");
-        // y ∈ a * dom(x)
-        let image: Vec<i32> = space
-            .domain(self.x)
-            .iter()
-            .filter_map(|v| v.checked_mul(self.a))
-            .collect();
-        let image = Domain::from_values(&image).ok_or(Conflict)?;
-        space.intersect(self.y, &image)?;
-        // x ∈ dom(y) / a (exact divisions only)
-        let preimage: Vec<i32> = space
-            .domain(self.y)
-            .iter()
-            .filter(|v| v % self.a == 0)
-            .map(|v| v / self.a)
-            .collect();
-        let preimage = Domain::from_values(&preimage).ok_or(Conflict)?;
-        space.intersect(self.x, &preimage)?;
-        Ok(())
-    }
-
-    fn dependencies(&self) -> Vec<VarId> {
-        vec![self.x, self.y]
-    }
-
-    fn name(&self) -> &'static str {
-        "scaled_eq"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::Domain;
     use crate::propagator::Engine;
 
     fn setup(ranges: &[(i32, i32)]) -> (Space, Vec<VarId>) {
@@ -141,78 +52,6 @@ mod tests {
         engine.post(p);
         engine.schedule_all();
         engine.propagate(space)
-    }
-
-    #[test]
-    fn eq_offset_prunes_both_sides() {
-        let (mut space, v) = setup(&[(0, 10), (5, 20)]);
-        run(
-            &mut space,
-            EqOffset {
-                x: v[0],
-                y: v[1],
-                c: 3,
-            },
-        )
-        .unwrap();
-        // y = x + 3, x ∈ [0,10], y ∈ [5,20] → x ∈ [2,10], y ∈ [5,13]
-        assert_eq!((space.min(v[0]), space.max(v[0])), (2, 10));
-        assert_eq!((space.min(v[1]), space.max(v[1])), (5, 13));
-    }
-
-    #[test]
-    fn eq_offset_holes_propagate() {
-        let mut space = Space::new();
-        let x = space.new_var(Domain::from_values(&[1, 4, 9]).unwrap());
-        let y = space.new_var(Domain::from_values(&[2, 5, 7]).unwrap());
-        run(&mut space, EqOffset { x, y, c: 1 }).unwrap();
-        assert_eq!(space.domain(x).iter().collect::<Vec<_>>(), vec![1, 4]);
-        assert_eq!(space.domain(y).iter().collect::<Vec<_>>(), vec![2, 5]);
-    }
-
-    #[test]
-    fn eq_offset_conflict() {
-        let (mut space, v) = setup(&[(0, 2), (10, 12)]);
-        assert!(run(
-            &mut space,
-            EqOffset {
-                x: v[0],
-                y: v[1],
-                c: 0
-            }
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn leq_offset_prunes_bounds() {
-        let (mut space, v) = setup(&[(0, 10), (0, 10)]);
-        run(
-            &mut space,
-            LeqOffset {
-                x: v[0],
-                y: v[1],
-                c: 4,
-            },
-        )
-        .unwrap();
-        // x + 4 <= y → x <= 6, y >= 4
-        assert_eq!(space.max(v[0]), 6);
-        assert_eq!(space.min(v[1]), 4);
-    }
-
-    #[test]
-    fn leq_offset_conflict() {
-        let (mut space, v) = setup(&[(5, 10), (0, 4)]);
-        assert!(run(
-            &mut space,
-            LeqOffset {
-                x: v[0],
-                y: v[1],
-                c: 0
-            }
-        )
-        .is_err());
     }
 
     #[test]
@@ -270,52 +109,5 @@ mod tests {
             }
         )
         .is_err());
-    }
-
-    #[test]
-    fn scaled_eq_forward_and_back() {
-        let (mut space, v) = setup(&[(0, 5), (0, 20)]);
-        run(
-            &mut space,
-            ScaledEq {
-                a: 3,
-                x: v[0],
-                y: v[1],
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            space.domain(v[1]).iter().collect::<Vec<_>>(),
-            vec![0, 3, 6, 9, 12, 15]
-        );
-        space.set_min(v[1], 7).unwrap();
-        run(
-            &mut space,
-            ScaledEq {
-                a: 3,
-                x: v[0],
-                y: v[1],
-            },
-        )
-        .unwrap();
-        assert_eq!(space.domain(v[0]).iter().collect::<Vec<_>>(), vec![3, 4, 5]);
-    }
-
-    #[test]
-    fn scaled_eq_negative_coefficient() {
-        let (mut space, v) = setup(&[(1, 3), (-10, 10)]);
-        run(
-            &mut space,
-            ScaledEq {
-                a: -2,
-                x: v[0],
-                y: v[1],
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            space.domain(v[1]).iter().collect::<Vec<_>>(),
-            vec![-6, -4, -2]
-        );
     }
 }

@@ -1,4 +1,4 @@
-//! `max(x₁…xₙ) == y` and `min(x₁…xₙ) == y`.
+//! `max(x₁…xₙ) == y`.
 //!
 //! The placement objective is `makespan = max_i (xᵢ + widthᵢ)`; `Maximum`
 //! ties the objective variable to the per-module right edges.
@@ -50,50 +50,6 @@ impl Propagator for Maximum {
 
     fn name(&self) -> &'static str {
         "maximum"
-    }
-}
-
-/// `y == min(vars)`, bounds-consistent.
-pub struct Minimum {
-    pub vars: Vec<VarId>,
-    pub y: VarId,
-}
-
-impl Propagator for Minimum {
-    fn propagate(&self, space: &mut Space) -> Result<(), Conflict> {
-        assert!(!self.vars.is_empty(), "Minimum over no variables");
-        let min_of_mins = self.vars.iter().map(|&v| space.min(v)).min().unwrap();
-        let min_of_maxs = self.vars.iter().map(|&v| space.max(v)).min().unwrap();
-        space.set_min(self.y, min_of_mins)?;
-        space.set_max(self.y, min_of_maxs)?;
-        let y_min = space.min(self.y);
-        for &v in &self.vars {
-            space.set_min(v, y_min)?;
-        }
-        let y_max = space.max(self.y);
-        let reachers: Vec<VarId> = self
-            .vars
-            .iter()
-            .copied()
-            .filter(|&v| space.min(v) <= y_max)
-            .collect();
-        if reachers.is_empty() {
-            return Err(Conflict);
-        }
-        if reachers.len() == 1 {
-            space.set_max(reachers[0], y_max)?;
-        }
-        Ok(())
-    }
-
-    fn dependencies(&self) -> Vec<VarId> {
-        let mut deps = self.vars.clone();
-        deps.push(self.y);
-        deps
-    }
-
-    fn name(&self) -> &'static str {
-        "minimum"
     }
 }
 
@@ -169,34 +125,5 @@ mod tests {
         let a = space.new_var(Domain::interval(0, 3));
         let y = space.new_var(Domain::interval(8, 10));
         assert!(run(&mut space, Maximum { vars: vec![a], y }).is_err());
-    }
-
-    #[test]
-    fn min_mirror() {
-        let mut space = Space::new();
-        let a = space.new_var(Domain::interval(2, 5));
-        let b = space.new_var(Domain::interval(4, 9));
-        let y = space.new_var(Domain::interval(-100, 100));
-        run(
-            &mut space,
-            Minimum {
-                vars: vec![a, b],
-                y,
-            },
-        )
-        .unwrap();
-        assert_eq!(space.min(y), 2);
-        assert_eq!(space.max(y), 5);
-        space.set_min(y, 4).unwrap();
-        run(
-            &mut space,
-            Minimum {
-                vars: vec![a, b],
-                y,
-            },
-        )
-        .unwrap();
-        assert_eq!(space.min(a), 4);
-        assert_eq!(space.min(b), 4);
     }
 }

@@ -1,23 +1,17 @@
 //! The constraint library: ready-made propagators.
 
-pub mod alldiff;
 pub mod arith;
-pub mod count;
 pub mod cumulative;
 pub mod element;
 pub mod lex;
 pub mod linear;
-pub mod logic;
 pub mod minmax;
 pub mod table;
 
-pub use alldiff::AllDifferent;
-pub use arith::{EqOffset, LeqOffset, NotEqualOffset, ScaledEq};
-pub use count::CountEq;
+pub use arith::NotEqualOffset;
 pub use cumulative::{Cumulative, Task};
 pub use element::ElementConst;
 pub use lex::LexLeqPair;
 pub use linear::{LinRel, Linear};
-pub use logic::{Clause, Literal, ReifiedLeConst};
-pub use minmax::{Maximum, Minimum};
+pub use minmax::Maximum;
 pub use table::Table;

@@ -10,8 +10,8 @@
 //! * [`space::Space`] — the per-search-node state (copy-based restoration,
 //!   à la Gecode: propagators stay immutable and shareable);
 //! * [`propagator`] — the propagator interface and fixpoint engine;
-//! * [`constraints`] — arithmetic, linear, logic, element, table,
-//!   all-different, min/max and cumulative propagators;
+//! * [`constraints`] — disequality, linear, element, table, maximum,
+//!   lexicographic order and cumulative propagators;
 //! * [`model::Model`] — the model-building facade;
 //! * [`search`] — DFS with branch & bound, branching heuristics, limits;
 //! * [`portfolio`] — parallel multi-heuristic search sharing the incumbent
@@ -24,7 +24,7 @@
 //! let mut m = Model::new();
 //! let x = m.new_var(0, 10);
 //! let y = m.new_var(0, 20);
-//! m.leq_offset(x, 2, y);
+//! m.linear(&[1, -1], &[x, y], LinRel::Le, -2);
 //! m.linear(&[1], &[x], LinRel::Ge, 3);
 //! let out = solve(m, SearchConfig::minimize(y));
 //! assert_eq!(out.objective, Some(5));

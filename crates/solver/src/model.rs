@@ -1,8 +1,7 @@
 //! The model-building facade: variables plus convenience constraint posting.
 
 use crate::constraints::{
-    AllDifferent, Clause, Cumulative, ElementConst, EqOffset, LeqOffset, LinRel, Linear, Literal,
-    Maximum, Minimum, NotEqualOffset, ReifiedLeConst, ScaledEq, Table, Task,
+    Cumulative, ElementConst, LinRel, Linear, Maximum, NotEqualOffset, Table, Task,
 };
 use crate::domain::Domain;
 use crate::propagator::{Engine, Propagator};
@@ -66,39 +65,9 @@ impl Model {
 
     // --- convenience constraint builders -------------------------------
 
-    /// `x + c == y`.
-    pub fn eq_offset(&mut self, x: VarId, c: i32, y: VarId) {
-        self.post(EqOffset { x, y, c });
-    }
-
-    /// `x == y`.
-    pub fn eq(&mut self, x: VarId, y: VarId) {
-        self.eq_offset(x, 0, y);
-    }
-
-    /// `x + c <= y`.
-    pub fn leq_offset(&mut self, x: VarId, c: i32, y: VarId) {
-        self.post(LeqOffset { x, y, c });
-    }
-
-    /// `x <= y`.
-    pub fn le(&mut self, x: VarId, y: VarId) {
-        self.leq_offset(x, 0, y);
-    }
-
-    /// `x < y`.
-    pub fn lt(&mut self, x: VarId, y: VarId) {
-        self.leq_offset(x, 1, y);
-    }
-
     /// `x != y`.
     pub fn ne(&mut self, x: VarId, y: VarId) {
         self.post(NotEqualOffset { x, y, c: 0 });
-    }
-
-    /// `a * x == y` for constant `a != 0`.
-    pub fn scaled_eq(&mut self, a: i32, x: VarId, y: VarId) {
-        self.post(ScaledEq { a, x, y });
     }
 
     /// `Σ coeffs[i] * vars[i] ⋈ c`.
@@ -122,34 +91,14 @@ impl Model {
         self.post(Table::new(vars, rows));
     }
 
-    /// All variables take pairwise distinct values.
-    pub fn all_different(&mut self, vars: Vec<VarId>) {
-        self.post(AllDifferent::new(vars));
-    }
-
     /// `y == max(vars)`.
     pub fn maximum(&mut self, vars: Vec<VarId>, y: VarId) {
         self.post(Maximum { vars, y });
     }
 
-    /// `y == min(vars)`.
-    pub fn minimum(&mut self, vars: Vec<VarId>, y: VarId) {
-        self.post(Minimum { vars, y });
-    }
-
     /// Cumulative resource constraint.
     pub fn cumulative(&mut self, tasks: Vec<Task>, capacity: i32) {
         self.post(Cumulative::new(tasks, capacity));
-    }
-
-    /// Disjunction of literals.
-    pub fn clause(&mut self, literals: Vec<Literal>) {
-        self.post(Clause { literals });
-    }
-
-    /// `b == 1 ⟺ x <= c`.
-    pub fn reified_le_const(&mut self, b: VarId, x: VarId, c: i32) {
-        self.post(ReifiedLeConst { b, x, c });
     }
 
     /// Decompose into the root space and engine for the search to drive.
@@ -186,8 +135,8 @@ mod tests {
         let x = m.new_var(0, 9);
         let y = m.new_var_values(&[1, 4, 7]);
         let b = m.new_bool();
-        m.le(x, y);
-        m.reified_le_const(b, x, 3);
+        m.ne(x, y);
+        m.linear(&[1, 1], &[x, b], LinRel::Le, 3);
         assert_eq!(m.num_vars(), 3);
         assert_eq!(m.num_propagators(), 2);
         assert_eq!(m.space().min(y), 1);

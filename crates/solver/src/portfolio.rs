@@ -155,7 +155,7 @@ mod tests {
         let mut m = Model::new();
         let x = m.new_var(0, 9);
         let y = m.new_var(0, 9);
-        m.lt(x, y);
+        m.linear(&[1, -1], &[x, y], LinRel::Le, -1); // x < y
         let par = solve_portfolio(m, SearchConfig::first_solution(), 3);
         let sol = par.best.best.expect("satisfiable");
         assert!(sol.value(x) < sol.value(y));
@@ -166,8 +166,9 @@ mod tests {
         let mut m = Model::new();
         let x = m.new_var(0, 3);
         let y = m.new_var(0, 3);
-        m.lt(x, y);
-        m.lt(y, x);
+        // x < y and y < x.
+        m.linear(&[1, -1], &[x, y], LinRel::Le, -1);
+        m.linear(&[-1, 1], &[x, y], LinRel::Le, -1);
         let par = solve_portfolio(m, SearchConfig::default(), 2);
         assert!(par.best.best.is_none());
         assert!(par.best.complete);

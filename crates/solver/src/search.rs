@@ -418,21 +418,17 @@ mod tests {
     fn queens_model(n: i32) -> (Model, Vec<VarId>) {
         let mut m = Model::new();
         let cols: Vec<VarId> = (0..n).map(|_| m.new_var(0, n - 1)).collect();
-        m.all_different(cols.clone());
         for i in 0..n as usize {
             for j in (i + 1)..n as usize {
                 let d = (j - i) as i32;
-                // cols[i] != cols[j] ± d
-                m.post(crate::constraints::NotEqualOffset {
-                    x: cols[i],
-                    y: cols[j],
-                    c: d,
-                });
-                m.post(crate::constraints::NotEqualOffset {
-                    x: cols[i],
-                    y: cols[j],
-                    c: -d,
-                });
+                // cols[i] != cols[j] + c: distinct columns and diagonals.
+                for c in [0, d, -d] {
+                    m.post(crate::constraints::NotEqualOffset {
+                        x: cols[i],
+                        y: cols[j],
+                        c,
+                    });
+                }
             }
         }
         (m, cols)
@@ -491,8 +487,9 @@ mod tests {
         let mut m = Model::new();
         let x = m.new_var(0, 3);
         let y = m.new_var(0, 3);
-        m.lt(x, y);
-        m.lt(y, x);
+        // x < y and y < x.
+        m.linear(&[1, -1], &[x, y], LinRel::Le, -1);
+        m.linear(&[-1, 1], &[x, y], LinRel::Le, -1);
         let outcome = solve(m, SearchConfig::default());
         assert!(outcome.best.is_none());
         assert!(outcome.complete);
@@ -555,7 +552,7 @@ mod tests {
         let mut m = Model::new();
         let x = m.new_var(0, 5);
         let y = m.new_var(0, 50);
-        m.scaled_eq(3, x, y);
+        m.linear(&[3, -1], &[x, y], LinRel::Eq, 0);
         let outcome = solve(
             m,
             SearchConfig {

@@ -15,11 +15,11 @@ use rrf_trace::{check_balanced, parse_text, MemorySink, Tracer};
 fn queens(n: i32) -> (Model, Vec<VarId>) {
     let mut m = Model::new();
     let cols: Vec<VarId> = (0..n).map(|_| m.new_var(0, n - 1)).collect();
-    m.all_different(cols.clone());
     for i in 0..n as usize {
         for j in (i + 1)..n as usize {
             let d = (j - i) as i32;
-            for c in [d, -d] {
+            // Distinct columns and diagonals.
+            for c in [0, d, -d] {
                 m.post(NotEqualOffset {
                     x: cols[i],
                     y: cols[j],

@@ -11,6 +11,11 @@
 //! added; existing fields never change meaning, type, or order. Readers
 //! must ignore fields and record kinds they do not know.
 
+// Determinism: golden-trace tests diff the logical trace stream byte for
+// byte. (`tracer.rs` is not covered: its wall stream is timing-bearing by
+// design.)
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use std::fmt::Write as _;
 
 /// A field value. The logical stream deliberately has no float variant:

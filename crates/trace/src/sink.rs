@@ -5,6 +5,11 @@
 //! `Send + Sync`; the `Tracer` handle serializes concurrent emitters
 //! through the sink's own interior locking.
 
+// Determinism: golden-trace tests diff the logical trace stream byte for
+// byte. (`tracer.rs` is not covered: its wall stream is timing-bearing by
+// design.)
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::Mutex;
