@@ -10,7 +10,7 @@
 use crate::placement::{Floorplan, PlacedModule};
 use crate::problem::PlacementProblem;
 use rrf_fabric::Point;
-use rrf_geost::{allowed_anchors, OccupancyGrid};
+use rrf_geost::OccupancyGrid;
 
 /// Place all modules greedily. Returns `None` when some module cannot be
 /// placed (no anchor compatible and free).
@@ -25,20 +25,21 @@ pub fn bottom_left(problem: &PlacementProblem) -> Option<Floorplan> {
     let mut placements: Vec<Option<PlacedModule>> = vec![None; problem.modules.len()];
     for &mi in &order {
         let module = &problem.modules[mi];
-        // Candidate = (right edge, y, x, shape, anchor).
+        // Candidate = (right edge, y, x, shape, anchor); the earlier
+        // alternative wins a tie. For one alternative the right edge is
+        // `x + width`, so its best anchor is its first fit in (x, y) order,
+        // and a later one beats the best `(br, by, bx)` only left of column
+        // `br - width`, or on it below row `by` (up to `by` when its x is
+        // then smaller than `bx`).
         let mut best: Option<(i32, i32, i32, usize, Point)> = None;
         for (si, shape) in module.shapes().iter().enumerate() {
             let width = shape.bounding_box().x_end();
-            for anchor in allowed_anchors(region, shape) {
-                let key = (anchor.x + width, anchor.y, anchor.x);
-                if let Some((br, by, bx, _, _)) = best {
-                    if (key.0, key.1, key.2) >= (br, by, bx) {
-                        continue;
-                    }
-                }
-                if grid.fits(shape, anchor) {
-                    best = Some((key.0, key.1, key.2, si, anchor));
-                }
+            let limit = best.map(|(br, by, bx, _, _)| {
+                let x = br - width;
+                Point::new(x, if x < bx { by + 1 } else { by })
+            });
+            if let Some(anchor) = grid.first_fit(region, shape, limit) {
+                best = Some((anchor.x + width, anchor.y, anchor.x, si, anchor));
             }
         }
         let (_, _, _, shape, anchor) = best?;
@@ -103,6 +104,22 @@ mod tests {
         assert!(is_valid(&problem.region, &problem.modules, &plan));
         assert_eq!(plan.placements[1].shape, 1);
         assert_eq!(plan.x_extent(&problem.modules, 0), 6);
+    }
+
+    #[test]
+    fn equal_right_edge_and_y_go_to_the_smaller_x() {
+        // Tile (0, 1) is static, so the 2x2 alternative first fits at
+        // (1, 0), right edge 3; the 3x1 one fits at (0, 0), right edge 3
+        // too. Edge and y tie, and the smaller x wins.
+        let mut region = Region::whole(device::homogeneous(10, 2));
+        region.add_static_mask(rrf_fabric::Rect::new(0, 1, 1, 1));
+        let problem = PlacementProblem::new(
+            region,
+            vec![Module::new("m", vec![clb_shape(2, 2), clb_shape(3, 1)])],
+        );
+        let plan = bottom_left(&problem).unwrap();
+        let p = plan.placements[0];
+        assert_eq!((p.shape, p.x, p.y), (1, 0, 0));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::model::Module;
 use crate::placement::PlacedModule;
 use crate::reconfig::{module_cost, FrameCostModel, ReconfigCost};
 use rrf_fabric::{Fault, Point, Region};
-use rrf_geost::{allowed_anchors, OccupancyGrid};
+use rrf_geost::OccupancyGrid;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -578,29 +578,222 @@ fn place_at(placed: &mut PlacedModule, shape: usize, anchor: Point) {
 }
 
 /// First fit of `module` on `grid` in (x, y, shape) order over compatible
-/// anchors: the smallest (x, y) across all design alternatives wins.
+/// anchors: the smallest (x, y) across all design alternatives wins, the
+/// earlier alternative on a tie, so each later one only looks before the
+/// best anchor so far.
 fn first_fit(region: &Region, grid: &OccupancyGrid, module: &Module) -> Option<(usize, Point)> {
-    let mut best: Option<(i32, i32, usize, Point)> = None;
+    let mut best: Option<(usize, Point)> = None;
     for (si, shape) in module.shapes().iter().enumerate() {
-        for anchor in allowed_anchors(region, shape) {
-            if let Some((bx, by, _, _)) = best {
-                if (anchor.x, anchor.y) >= (bx, by) {
-                    continue;
-                }
-            }
-            if grid.fits(shape, anchor) {
-                best = Some((anchor.x, anchor.y, si, anchor));
-            }
+        if let Some(anchor) = grid.first_fit(region, shape, best.map(|(_, p)| p)) {
+            best = Some((si, anchor));
         }
     }
-    best.map(|(_, _, shape, anchor)| (shape, anchor))
+    #[cfg(test)]
+    tests::check_first_fit(region, grid, module, best);
+    best
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrf_fabric::{device, ResourceKind};
-    use rrf_geost::{ShapeDef, ShiftedBox};
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use rrf_fabric::{device, Rect, ResourceKind};
+    use rrf_geost::{allowed_anchors, ShapeDef, ShiftedBox};
+    use rrf_modgen::{generate_workload, WorkloadSpec};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// First fits this thread checked against [`reference_first_fit`].
+        static CHECKED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The first-fit loop the mask scan replaced: every compatible anchor
+    /// of every alternative, tested with `fits`; the smallest (x, y) wins,
+    /// the earlier alternative on a tie.
+    fn reference_first_fit(
+        region: &Region,
+        grid: &OccupancyGrid,
+        module: &Module,
+    ) -> Option<(usize, Point)> {
+        let mut best: Option<(i32, i32, usize, Point)> = None;
+        for (si, shape) in module.shapes().iter().enumerate() {
+            for anchor in allowed_anchors(region, shape) {
+                if let Some((bx, by, _, _)) = best {
+                    if (anchor.x, anchor.y) >= (bx, by) {
+                        continue;
+                    }
+                }
+                if grid.fits(shape, anchor) {
+                    best = Some((anchor.x, anchor.y, si, anchor));
+                }
+            }
+        }
+        best.map(|(_, _, shape, anchor)| (shape, anchor))
+    }
+
+    /// Run by `first_fit` in this crate's tests, on every grid a placer
+    /// consults: live inserts, defrag's scratch grid as it fills, repair's
+    /// greedy refit and its full repacks.
+    pub(super) fn check_first_fit(
+        region: &Region,
+        grid: &OccupancyGrid,
+        module: &Module,
+        fit: Option<(usize, Point)>,
+    ) {
+        let expected = reference_first_fit(region, grid, module);
+        assert_eq!(
+            fit,
+            expected,
+            "first fit of {} on grid {:016x}",
+            module.name,
+            grid.digest()
+        );
+        CHECKED.with(|c| c.set(c.get() + 1));
+    }
+
+    fn checked() -> u64 {
+        CHECKED.with(Cell::get)
+    }
+
+    /// A placer and a module stream: perfbench `session`'s on the 240x16
+    /// paper region (the paper's generator at half its sizes, 4
+    /// alternatives), or small modules on a small irregular fabric.
+    fn scenario(seed: u64, paper: bool) -> (OnlinePlacer, Vec<Module>) {
+        let (region, spec) = if paper {
+            let layout = device::ColumnLayout {
+                bram_period: 10,
+                bram_offset: 4,
+                dsp_period: 0,
+                dsp_offset: 0,
+                io_ring: 0,
+                center_clock: false,
+            };
+            let spec = WorkloadSpec {
+                modules: 30,
+                clb_min: 12,
+                clb_max: 50,
+                bram_min: 0,
+                bram_max: 2,
+                height_min: 3,
+                height_max: 6,
+                alternatives: 4,
+                seed,
+            };
+            (Region::whole(device::columns(240, 16, layout)), spec)
+        } else {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let (w, h) = (rng.gen_range(14..40), rng.gen_range(4..12));
+            let mut region = Region::whole(device::irregular(w, h, seed));
+            region.add_static_mask(Rect::new(rng.gen_range(0..w), rng.gen_range(0..h), 2, 2));
+            (region, WorkloadSpec::small(12, seed))
+        };
+        let modules = (generate_workload(&spec).modules.into_iter())
+            .map(|m| Module::new(m.name, m.shapes))
+            .collect();
+        (OnlinePlacer::new(region), modules)
+    }
+
+    /// First fits checked per kind of grid: live inserts, defrag's scratch
+    /// grid, repair's greedy refit and its full repacks.
+    #[derive(Debug, Default)]
+    struct Consulted {
+        inserts: u64,
+        defrags: u64,
+        refits: u64,
+        repacks: u64,
+    }
+
+    /// Fill the placer to 70 % and drive a random stream of inserts,
+    /// removes, defrags, faults, repairs and clears; every first fit on
+    /// the way is checked against the reference loop. Each op consults
+    /// exactly the grids it should.
+    fn drive(seed: u64, paper: bool, ops: usize) -> Consulted {
+        let (mut placer, modules) = scenario(seed, paper);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0F1F);
+        let bounds = placer.region().bounds();
+        let mut faults: Vec<Fault> = Vec::new();
+        let mut seen = Consulted::default();
+        for _ in 0..400 {
+            if placer.utilization() >= 0.7 {
+                break;
+            }
+            placer.try_insert(&modules[rng.gen_range(0..modules.len())]);
+        }
+        for _ in 0..ops {
+            let before = checked();
+            let live: Vec<SlotId> = placer.slots().iter().map(|(s, _, _)| *s).collect();
+            match rng.gen_range(0..20) {
+                r if r < 10 => {
+                    placer.try_insert(&modules[rng.gen_range(0..modules.len())]);
+                    assert_eq!(checked() - before, 1, "an insert fits once");
+                    seen.inserts += 1;
+                }
+                r if r < 14 && !live.is_empty() => {
+                    placer.remove(live[rng.gen_range(0..live.len())]);
+                }
+                r if r < 16 => {
+                    placer.defrag();
+                    let n = checked() - before;
+                    assert!(n <= live.len() as u64 && (n > 0) != live.is_empty());
+                    seen.defrags += n;
+                }
+                r if r < 18 => {
+                    let (x, y) = (rng.gen_range(0..bounds.w), rng.gen_range(0..bounds.h));
+                    let fault = match rng.gen_range(0..3) {
+                        0 => Fault::Tile { x, y },
+                        1 => Fault::Column { x },
+                        _ => Fault::Rect { x, y, w: 2, h: 2 },
+                    };
+                    placer.inject_fault(fault);
+                    faults.push(fault);
+                }
+                18 => {
+                    let displaced = placer.displaced_slots().len() as u64;
+                    let report = placer.repair(Duration::from_secs(60), &FrameCostModel::default());
+                    let n = checked() - before;
+                    assert!(n >= displaced && report.escalated == (n > displaced));
+                    seen.refits += displaced;
+                    seen.repacks += n - displaced;
+                }
+                _ if !faults.is_empty() => {
+                    placer.clear_fault(faults.swap_remove(rng.gen_range(0..faults.len())));
+                }
+                _ => {}
+            }
+        }
+        seen
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn first_fit_matches_the_reference_loop_on_every_grid(
+            seed in 0u64..1 << 40,
+            paper in 0u8..2,
+        ) {
+            let seen = drive(seed, paper == 1, 40);
+            prop_assert!(seen.inserts > 0);
+        }
+    }
+
+    #[test]
+    fn the_reference_sees_defrag_refit_and_repack_grids() {
+        let mut total = Consulted::default();
+        for seed in 0..4 {
+            let seen = drive(seed, seed % 2 == 0, 60);
+            total.inserts += seen.inserts;
+            total.defrags += seen.defrags;
+            total.refits += seen.refits;
+            total.repacks += seen.repacks;
+        }
+        assert!(
+            total.inserts > 0 && total.defrags > 0 && total.refits > 0 && total.repacks > 0,
+            "{total:?}"
+        );
+    }
 
     fn clb_module(name: &str, w: i32, h: i32) -> Module {
         Module::new(

@@ -6,11 +6,12 @@
 
 use crate::fit;
 use crate::shape::ShapeDef;
-use rrf_fabric::{ColumnMask, Point, Rect};
+use rrf_fabric::{ColumnMask, Point, Rect, Region};
 
 /// Per-tile occupation counts over a fixed extent, plus the occupied tiles
-/// as a [`ColumnMask`] for [`OccupancyGrid::fits`]. Counts (rather than
-/// bits) let a placer lift a module off and put it back, and they are what
+/// as a [`ColumnMask`] for [`OccupancyGrid::fits`] and
+/// [`OccupancyGrid::first_fit`]. Counts (rather than bits) let a placer
+/// lift a module off and put it back, and they are what
 /// [`OccupancyGrid::digest`] fingerprints.
 #[derive(Debug, Clone)]
 pub struct OccupancyGrid {
@@ -77,6 +78,26 @@ impl OccupancyGrid {
     #[inline]
     pub fn fits(&self, shape: &ShapeDef, anchor: Point) -> bool {
         fit::collision(&self.occupied, shape, anchor).is_none()
+    }
+
+    /// The first anchor in (x, y) order (x outer, y inner), before
+    /// `limit` if one is given, at which `shape` lies inside the region's
+    /// bounds with every box on tiles of its own kind that no module
+    /// occupies: the greedy placers' first fit, scanned column by column
+    /// on the masks ([`fit::first_free`]). The grid must cover exactly the
+    /// region's bounds.
+    pub fn first_fit(
+        &self,
+        region: &Region,
+        shape: &ShapeDef,
+        limit: Option<Point>,
+    ) -> Option<Point> {
+        assert_eq!(
+            self.bounds,
+            region.bounds(),
+            "grid and region bounds differ"
+        );
+        fit::first_free(region, shape, &self.occupied, limit)
     }
 
     /// Largest count anywhere.

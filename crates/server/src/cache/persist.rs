@@ -70,8 +70,9 @@ pub struct LoadedSnapshot {
 }
 
 /// Write `entries` (key-sorted, as [`super::ShardedCache::export`]
-/// returns them) to `path` atomically: temp file, fsync, rename — a
-/// crash mid-write leaves the previous snapshot intact.
+/// returns them) to `path` atomically: temp file, fsync, rename, fsync
+/// of the directory — a crash mid-write leaves the previous snapshot
+/// intact.
 pub fn save(path: impl AsRef<Path>, entries: &[(String, CacheEntry)]) -> std::io::Result<()> {
     let path = path.as_ref();
     let mut bytes = Vec::new();
@@ -122,8 +123,7 @@ pub fn save(path: impl AsRef<Path>, entries: &[(String, CacheEntry)]) -> std::io
         tmp.write_all(&bytes)?;
         tmp.sync_data()?;
     }
-    std::fs::rename(&tmp_path, path)?;
-    Ok(())
+    crate::journal::rename_durably(&tmp_path, path)
 }
 
 /// Read one raw line; `Ok(Some(str))` only for a complete (`\n`-ended)

@@ -13,9 +13,9 @@
 //!
 //! A [`JournalRecord::Snapshot`] record resets the replay state wholesale;
 //! compaction rewrites the journal as a single snapshot line (temp file +
-//! fsync + atomic rename), which both bounds replay time and truncates the
-//! file. The daemon compacts after every committed defrag and once more at
-//! graceful shutdown.
+//! fsync + atomic rename + directory fsync), which both bounds replay time
+//! and truncates the file. The daemon compacts after every committed
+//! defrag and once more at graceful shutdown.
 //!
 //! Torn tails are expected: a crash mid-append leaves a final partial
 //! line. [`Journal::load`] accepts every complete record up to the first
@@ -232,8 +232,9 @@ impl Journal {
     }
 
     /// Atomically replace the whole journal with `records`: write a temp
-    /// file next to it, fsync, rename over. A crash at any point leaves
-    /// either the old journal or the new one — never a mix.
+    /// file next to it, fsync, rename over, fsync the directory. A crash
+    /// at any point leaves either the old journal or the new one — never
+    /// a mix.
     pub fn rewrite(&mut self, records: &[JournalRecord]) -> std::io::Result<()> {
         let tmp_path = self.path.with_extension("journal.tmp");
         {
@@ -246,7 +247,7 @@ impl Journal {
             }
             tmp.sync_data()?;
         }
-        std::fs::rename(&tmp_path, &self.path)?;
+        rename_durably(&tmp_path, &self.path)?;
         self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.file.sync_data()?;
         self.appended += records.len() as u64;
@@ -318,6 +319,19 @@ impl Journal {
             truncated,
         })
     }
+}
+
+/// Rename the fsynced `tmp` over `path`, then fsync `path`'s directory:
+/// POSIX makes a rename durable only once its directory is synced, and
+/// until then a power loss may leave `path` naming the old file. Shared
+/// by journal compaction and the cache snapshot.
+pub(crate) fn rename_durably(tmp: &Path, path: &Path) -> std::io::Result<()> {
+    std::fs::rename(tmp, path)?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
 }
 
 #[cfg(test)]

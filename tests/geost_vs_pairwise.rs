@@ -2,7 +2,8 @@
 //! overlap check, over randomized fixed placements and randomized domains;
 //! and the column-mask fit kernel against the tile-by-tile scans it
 //! replaced, kept here as reference models: anchor scans, occupancy fits,
-//! and the non-overlap propagator itself.
+//! first fits over an occupancy grid, and the non-overlap propagator
+//! itself.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -353,6 +354,99 @@ fn occupancy_fits_matches_count_check() {
             }
         }
     }
+}
+
+/// The reference anchors of `shape` whose tiles all have count 0.
+fn reference_free_anchors(region: &Region, grid: &OccupancyGrid, shape: &ShapeDef) -> Vec<Point> {
+    let mut free = reference_anchors(region, shape);
+    free.retain(|p| (shape.tiles_at(p.x, p.y)).all(|(t, _)| grid.get(t.x, t.y) == 0));
+    free
+}
+
+/// The first fit before `limit`: the smallest (x, y) of `free` before it.
+fn reference_first_fit(free: &[Point], limit: Option<Point>) -> Option<Point> {
+    (free.iter().copied())
+        .filter(|p| limit.is_none_or(|l| (p.x, p.y) < (l.x, l.y)))
+        .min_by_key(|p| (p.x, p.y))
+}
+
+#[test]
+fn first_fit_matches_tile_by_tile_reference() {
+    let mut rng = ChaCha8Rng::seed_from_u64(22);
+    let (mut fits, mut limited) = (0, 0);
+    for case in 0..60 {
+        // Every 10th region is taller than one 64-row word.
+        let (w, h) = if case % 10 == 0 {
+            (rng.gen_range(4..9), rng.gen_range(65..140))
+        } else {
+            (rng.gen_range(6..30), rng.gen_range(4..20))
+        };
+        let fabric = random_fabric(&mut rng, w, h);
+        let (x, y) = (rng.gen_range(0..w / 3), rng.gen_range(0..h / 3));
+        let bounds = Rect::new(
+            x,
+            y,
+            rng.gen_range(w / 2..=w - x),
+            rng.gen_range(h / 2..=h - y),
+        );
+        let mut region = Region::with_bounds(fabric, bounds).unwrap();
+        if rng.gen_bool(0.5) {
+            region.inject_fault(random_fault(&mut rng, bounds));
+        }
+        let shapes: Vec<ShapeDef> = (0..6).map(|_| random_mixed_shape(&mut rng)).collect();
+        let mut grid = OccupancyGrid::new(bounds);
+        let mut stamped: Vec<Rect> = Vec::new();
+        for _ in 0..25 {
+            if !stamped.is_empty() && rng.gen_bool(0.3) {
+                grid.add_rect(stamped.swap_remove(rng.gen_range(0..stamped.len())), -1);
+            } else {
+                let r = Rect::new(
+                    rng.gen_range(bounds.x - 1..bounds.x_end()),
+                    rng.gen_range(bounds.y - 1..bounds.y_end()),
+                    rng.gen_range(1..4),
+                    rng.gen_range(1..(bounds.h / 2).max(2)),
+                );
+                grid.add_rect(r, 1);
+                stamped.push(r);
+            }
+            for shape in &shapes {
+                let free = reference_free_anchors(&region, &grid, shape);
+                let first = reference_first_fit(&free, None);
+                assert_eq!(grid.first_fit(&region, shape, None), first, "{shape:?}");
+                fits += first.is_some() as usize;
+                // Before the first fit, on its column above and below it,
+                // and beyond the bounds on either axis.
+                let f = first.unwrap_or(Point::new(bounds.x + w / 2, bounds.y + h / 2));
+                let mut limits = vec![
+                    f,
+                    Point::new(f.x - 1, f.y + 1),
+                    Point::new(f.x, f.y + 1),
+                    Point::new(f.x, f.y + rng.gen_range(2..5)),
+                    Point::new(f.x, f.y - 1),
+                    Point::new(bounds.x_end() + 3, bounds.y),
+                    Point::new(f.x + 1, bounds.y_end() + 3),
+                    Point::new(bounds.x - 4, bounds.y_end()),
+                ];
+                limits.extend((0..4).map(|_| {
+                    Point::new(
+                        rng.gen_range(bounds.x - 3..bounds.x_end() + 3),
+                        rng.gen_range(bounds.y - 3..bounds.y_end() + 3),
+                    )
+                }));
+                for limit in limits {
+                    let expected = reference_first_fit(&free, Some(limit));
+                    assert_eq!(
+                        grid.first_fit(&region, shape, Some(limit)),
+                        expected,
+                        "{shape:?} before {limit}"
+                    );
+                    limited += expected.is_some() as usize;
+                }
+            }
+        }
+    }
+    assert!(fits > 2000, "too few fits exercised: {fits}");
+    assert!(limited > 5000, "too few limited fits exercised: {limited}");
 }
 
 /// The non-overlap propagator before column masks: per-tile `u16`
